@@ -10,7 +10,9 @@ but the backend differs:
    Torus2D(48) on the reference container).
 2. **O(1) in replicates**: the analytic backend's ``R=1000`` median must
    stay within ``MAX_REPLICATE_RATIO`` (3x) of its ``R=10`` median — the
-   replicate axis is a broadcast view, so R never enters the arithmetic.
+   replicate axis is a broadcast view, so R never enters the arithmetic —
+   and one ``R=10**7`` call (~8 TB of estimates if materialised) must take
+   under ``MAX_HUGE_SECONDS`` (2 s).
 3. **Agreement**: before timing anything, the fused simulation's grand
    mean and pooled sample variance must land inside the analytic theory
    bands (``ORACLE_SAFETY`` standard errors) on every workload — the law
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from _timing import best_of, write_bench_report
+from _timing import best_of, once, write_bench_report
 from repro.core.analytic import solve
 from repro.core.kernel import run_kernel
 from repro.core.simulation import SimulationConfig
@@ -50,6 +52,8 @@ MAX_REPLICATE_RATIO = 3.0
 ORACLE_SAFETY = 6.0
 SMALL_REPLICATES = 10
 LARGE_REPLICATES = 1000
+HUGE_REPLICATES = 10**7
+MAX_HUGE_SECONDS = 2.0
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_analytic.json"
 
 
@@ -169,6 +173,17 @@ def measure() -> list[dict]:
             f"fused {fused_large:7.4f}s speedup {speedup:6.1f}x "
             f"R-ratio {replicate_ratio:4.2f}"
         )
+    huge = WORKLOADS[0]
+    huge_seconds = once(lambda: _run(huge, "analytic", HUGE_REPLICATES))
+    records.append(
+        {
+            "workload": f"{huge.name} R={HUGE_REPLICATES}",
+            "backend": "analytic",
+            "replicates": HUGE_REPLICATES,
+            "median_seconds": huge_seconds,
+        }
+    )
+    print(f"{huge.name:28s} analytic R={HUGE_REPLICATES} {huge_seconds:7.4f}s")
     return records
 
 
@@ -183,13 +198,15 @@ def write_report(records: list[dict], path: Optional[Path] = None) -> Path:
             "oracle_safety": ORACLE_SAFETY,
             "small_replicates": SMALL_REPLICATES,
             "large_replicates": LARGE_REPLICATES,
+            "huge_replicates": HUGE_REPLICATES,
+            "max_huge_seconds": MAX_HUGE_SECONDS,
         },
         records,
     )
 
 
 def test_analytic_backend_meets_gates() -> None:
-    """Acceptance gates: the 100x speedup and the O(1)-in-replicates ratio."""
+    """Acceptance gates: the 100x speedup, the O(1)-in-replicates ratio, the R=10**7 call."""
     records = measure()
     path = write_report(records)
     print(f"wrote {path}")
@@ -208,6 +225,11 @@ def test_analytic_backend_meets_gates() -> None:
             f"analytic backend must be O(1) in replicates "
             f"(gate: {MAX_REPLICATE_RATIO}x)"
         )
+    (huge,) = [r for r in records if r["replicates"] == HUGE_REPLICATES]
+    assert huge["median_seconds"] < MAX_HUGE_SECONDS, (
+        f"{huge['workload']}: one call took {huge['median_seconds']:.2f}s "
+        f"(gate: {MAX_HUGE_SECONDS}s); the replicate axis must stay a broadcast view"
+    )
 
 
 if __name__ == "__main__":

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import time
 
+from repro.core.kernel import run_kernel
 from repro.core.simulation import SimulationConfig
 from repro.dynamics.driver import track_scenario_batch
 from repro.dynamics.scenario import build_scenario
-from repro.engine import simulate_density_estimation_batch
 from repro.topology.torus import Torus2D
 
 SIDE = 32
@@ -52,7 +52,7 @@ def _run_static(backend: str | None = None) -> None:
     """The hook-free path: batched replicates, no per-round tracking."""
     topology = Torus2D(SIDE)
     config = SimulationConfig(num_agents=NUM_AGENTS, rounds=ROUNDS)
-    simulate_density_estimation_batch(topology, config, REPLICATES, seed=0, backend=backend)
+    run_kernel(topology, config, REPLICATES, seed=0, backend=backend)
 
 
 def _run_tracked() -> None:

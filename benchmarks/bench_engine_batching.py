@@ -3,8 +3,8 @@
 Measures the engine's headline win (ISSUE 1 acceptance criterion): running
 R = 32 replicates of Algorithm 1 (200 agents x 400 rounds on
 ``Torus2D(side=64)``) as one ``(R, n)`` matrix simulation must beat running
-the same 32 replicates through ``simulate_density_estimation`` one at a time
-by at least 3x throughput. The measurements are written to
+the same 32 replicates through serial reference-backend ``run_kernel`` calls
+one at a time by at least 3x throughput. The measurements are written to
 ``BENCH_batching.json`` with the shared provenance block so ``repro bench
 history`` can track them across PRs.
 
@@ -26,7 +26,6 @@ import numpy as np
 from _timing import best_of, write_bench_report
 from repro.core.kernel import run_kernel
 from repro.core.simulation import SimulationConfig
-from repro.engine import simulate_density_estimation_batch
 from repro.topology.torus import Torus2D
 from repro.utils.rng import spawn_seed_sequences
 
@@ -60,7 +59,7 @@ def _run_batched(seed: int = 0) -> np.ndarray:
     """The engine path: all replicates as one matrix simulation."""
     topology = Torus2D(SIDE)
     config = SimulationConfig(num_agents=NUM_AGENTS, rounds=ROUNDS)
-    return simulate_density_estimation_batch(topology, config, REPLICATES, seed).collision_totals
+    return run_kernel(topology, config, REPLICATES, seed).collision_totals
 
 
 def measure() -> dict[str, float]:

@@ -15,8 +15,8 @@ A complete, executable reproduction of Musco, Su, and Lynch,
 * an experiment suite that regenerates the paper's quantitative claims,
 * an execution engine (:mod:`repro.engine`) that runs replicate workloads
   fast: :class:`ExecutionEngine` batches independent Algorithm 1 replicates
-  into one matrix simulation (``ExecutionEngine.run_replicates`` /
-  :func:`repro.engine.simulate_density_estimation_batch`), schedules
+  into one matrix simulation (``ExecutionEngine.run_replicates``, the
+  batched mode of :func:`repro.core.kernel.run_kernel`), schedules
   non-batchable tasks over worker processes with bit-identical results for
   any worker count (``ExecutionEngine.map``), and
   :class:`repro.engine.RunCache` skips settings already computed,

@@ -5,9 +5,9 @@
   Lemma 18) and the median-of-means amplification trick.
 * :mod:`repro.analysis.accuracy` — empirical accuracy summaries of estimator
   outputs (relative errors, empirical ε at a target δ, error decay fits).
-* :mod:`repro.analysis.sweep` — a small parameter-sweep harness that the
-  experiment modules and benchmarks share (its declarative, resumable big
-  sibling is :mod:`repro.sweeps`).
+* :mod:`repro.analysis.sweep` — :func:`cartesian_grid`, the plain
+  parameter grid (its declarative, resumable big sibling is
+  :mod:`repro.sweeps`).
 * :mod:`repro.analysis.aggregate` — deterministic group-by aggregation over
   dict records, the read-side counterpart of the result store
   (:mod:`repro.store`): ``repro store query --aggregate`` and report
@@ -37,7 +37,7 @@ from repro.analysis.accuracy import (
     fraction_within,
     relative_errors,
 )
-from repro.analysis.sweep import cartesian_grid, run_sweep
+from repro.analysis.sweep import cartesian_grid
 from repro.analysis.bootstrap import (
     BootstrapInterval,
     bootstrap_interval,
@@ -69,7 +69,6 @@ __all__ = [
     "empirical_failure_probability",
     "fit_power_law",
     "cartesian_grid",
-    "run_sweep",
     "StreamStats",
     "aggregate_records",
     "aggregate_stream",

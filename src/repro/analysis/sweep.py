@@ -1,29 +1,14 @@
-"""A small parameter-sweep harness shared by experiments and benchmarks.
+"""Cartesian parameter grids.
 
-Experiments are parameter sweeps producing one record (dict) per setting;
-:func:`run_sweep` handles seeding each setting independently (so results are
-reproducible and settings are statistically independent) and collecting the
-records in order.
-
-Both entry points accept an optional ``engine``
-(:class:`repro.engine.ExecutionEngine`): when given, the settings are
-dispatched through the engine's deterministic scheduler — serially at
-``workers=1``, across a process pool otherwise — with results identical to
-the default in-process loop for any worker count (runners must then be
-picklable, i.e. module-level callables).
+:func:`cartesian_grid` expands named axes into one parameter dict per
+combination; :func:`repro.sweeps.expand_axes` is its general, declarative
+form (grid, zip and random-search axes).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
-
-import numpy as np
-
-from repro.utils.rng import SeedLike, spawn_generators
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports nothing from analysis)
-    from repro.engine import ExecutionEngine
+from typing import Any, Sequence
 
 
 def cartesian_grid(**axes: Sequence[Any]) -> list[dict[str, Any]]:
@@ -39,49 +24,4 @@ def cartesian_grid(**axes: Sequence[Any]) -> list[dict[str, Any]]:
     return [dict(zip(names, combo)) for combo in combos]
 
 
-def run_sweep(
-    runner: Callable[..., Mapping[str, Any]],
-    settings: Iterable[Mapping[str, Any]],
-    seed: SeedLike = None,
-    engine: "ExecutionEngine | None" = None,
-) -> list[dict[str, Any]]:
-    """Run ``runner(**setting, rng=...)`` for every setting and collect records.
-
-    Each setting receives its own child generator derived from ``seed``.
-    The returned records are the runner's outputs merged over the input
-    setting (so the sweep parameters always appear in the record). With an
-    ``engine``, settings may execute in parallel worker processes; the
-    records are the same either way.
-    """
-    settings = list(settings)
-    if engine is not None:
-        outputs = engine.map(runner, settings, seed)
-    else:
-        rngs = spawn_generators(seed, len(settings))
-        outputs = [runner(**setting, rng=rng) for setting, rng in zip(settings, rngs)]
-    records: list[dict[str, Any]] = []
-    for setting, output in zip(settings, outputs):
-        record: dict[str, Any] = {**setting}
-        record.update(output)
-        records.append(record)
-    return records
-
-
-def repeat_and_average(
-    runner: Callable[[np.random.Generator], float],
-    repetitions: int,
-    seed: SeedLike = None,
-    engine: "ExecutionEngine | None" = None,
-) -> tuple[float, float]:
-    """Run a scalar-valued trial ``repetitions`` times; return (mean, std)."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if engine is not None:
-        values = engine.repeat(runner, repetitions, seed)
-    else:
-        rngs = spawn_generators(seed, repetitions)
-        values = np.array([float(runner(rng)) for rng in rngs])
-    return float(values.mean()), float(values.std())
-
-
-__all__ = ["cartesian_grid", "run_sweep", "repeat_and_average"]
+__all__ = ["cartesian_grid"]

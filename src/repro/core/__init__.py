@@ -42,7 +42,7 @@ from repro.core.frequency import (
 from repro.core.kernel import BatchSimulationResult, require_batch_safe, run_kernel
 from repro.core.thresholds import QuorumDecision, QuorumDetector
 from repro.core.results import DensityEstimationRun, AccuracySummary
-from repro.core.simulation import SimulationConfig, simulate_density_estimation
+from repro.core.simulation import SimulationConfig
 from repro.core import bounds
 
 __all__ = [
@@ -70,6 +70,5 @@ __all__ = [
     "DensityEstimationRun",
     "AccuracySummary",
     "SimulationConfig",
-    "simulate_density_estimation",
     "bounds",
 ]

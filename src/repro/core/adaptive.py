@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import bounds
-from repro.core.encounter import collision_counts
+from repro.core.kernel import run_kernel
+from repro.core.simulation import SimulationConfig, resume_placement
 from repro.topology.base import Topology
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import require_integer, require_probability
@@ -106,7 +107,12 @@ class AdaptiveDensityEstimator:
         return half_width / rounds
 
     def run(self, seed: SeedLike = None) -> AdaptiveEstimate:
-        """Run the sequential procedure and return the stopping state."""
+        """Run the sequential procedure and return the stopping state.
+
+        Each phase is one serial :func:`~repro.core.kernel.run_kernel` call
+        on the shared generator, resuming from the previous phase's final
+        positions.
+        """
         rng = as_generator(seed)
         positions = self.topology.uniform_nodes(self.num_agents, rng)
         counts = np.zeros(self.num_agents, dtype=np.float64)
@@ -116,9 +122,12 @@ class AdaptiveDensityEstimator:
 
         while rounds_done < self.max_rounds:
             phase_length = min(phase_length, self.max_rounds - rounds_done)
-            for _ in range(phase_length):
-                positions = self.topology.step_many(positions, rng)
-                counts += collision_counts(positions)
+            config = SimulationConfig(
+                self.num_agents, phase_length, placement=resume_placement(positions)
+            )
+            phase = run_kernel(self.topology, config, None, rng)
+            positions = phase.final_positions
+            counts += phase.collision_totals
             rounds_done += phase_length
             phases += 1
 

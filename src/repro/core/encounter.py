@@ -307,74 +307,6 @@ def batched_marked_collision_counts(
     return batched_collision_profiles(positions, marked, num_nodes)[1]
 
 
-def batched_collision_counts_portable(positions, num_nodes: int, *, xp=None):
-    """Batched collision counts in pure array-API operations.
-
-    The portable twin of :func:`batched_collision_counts`: same offset-label
-    construction, but counted with ``unique_all`` + ``take`` instead of
-    NumPy-specific ``bincount``/fancy indexing, so the identical code runs
-    on any namespace from :mod:`repro.core.array_backend` (NumPy,
-    array-api-strict, CuPy, JAX). Integer-exact — results are bit-identical
-    to the NumPy primitives on every namespace (pinned by the portable
-    equivalence suite).
-
-    ``xp`` selects the namespace explicitly; ``None`` resolves it from
-    ``positions`` via the ``__array_namespace__`` protocol.
-    """
-    from repro.core.array_backend import array_namespace
-
-    xp = array_namespace(positions) if xp is None else xp
-    replicates, agents = positions.shape
-    if replicates * agents == 0:
-        return xp.zeros(positions.shape, dtype=xp.int64)
-    if replicates > 0 and num_nodes > (2**63 - 1) // max(replicates, 1):
-        raise ValueError(
-            f"cannot offset {replicates} replicates of {num_nodes} nodes without int64 overflow"
-        )
-    offsets = xp.reshape(xp.arange(replicates, dtype=xp.int64) * num_nodes, (replicates, 1))
-    flat = xp.reshape(positions + offsets, (-1,))
-    groups = xp.unique_all(flat)
-    counts = xp.take(groups.counts, xp.reshape(groups.inverse_indices, (-1,)))
-    return xp.reshape(xp.astype(counts, xp.int64) - 1, positions.shape)
-
-
-def batched_collision_profiles_portable(positions, marked, num_nodes: int, *, xp=None):
-    """Plain *and* marked batched counts in pure array-API operations.
-
-    The portable twin of :func:`batched_collision_profiles`. The marked
-    count has no portable ``bincount(weights=...)``, so it is computed as
-    segment sums over the sorted labels: a stable argsort groups each
-    label's marked flags contiguously, one ``cumulative_sum`` turns the
-    per-group totals into two gathers. Integer-exact on every namespace.
-    """
-    from repro.core.array_backend import array_namespace
-
-    xp = array_namespace(positions) if xp is None else xp
-    replicates, agents = positions.shape
-    if replicates * agents == 0:
-        zeros = xp.zeros(positions.shape, dtype=xp.int64)
-        return zeros, zeros
-    if replicates > 0 and num_nodes > (2**63 - 1) // max(replicates, 1):
-        raise ValueError(
-            f"cannot offset {replicates} replicates of {num_nodes} nodes without int64 overflow"
-        )
-    offsets = xp.reshape(xp.arange(replicates, dtype=xp.int64) * num_nodes, (replicates, 1))
-    flat = xp.reshape(positions + offsets, (-1,))
-    groups = xp.unique_all(flat)
-    inverse = xp.reshape(groups.inverse_indices, (-1,))
-    group_counts = xp.astype(groups.counts, xp.int64)
-    plain = xp.reshape(xp.take(group_counts, inverse) - 1, positions.shape)
-
-    marked_flat = xp.astype(xp.reshape(marked, (-1,)), xp.int64)
-    order = xp.argsort(flat, stable=True)
-    running = xp.cumulative_sum(xp.take(marked_flat, order))
-    padded = xp.concat([xp.zeros(1, dtype=xp.int64), running])
-    ends = xp.cumulative_sum(group_counts)
-    per_group_marked = xp.take(padded, ends) - xp.take(padded, ends - group_counts)
-    marked_counts = xp.take(per_group_marked, inverse) - marked_flat
-    return plain, xp.reshape(marked_counts, positions.shape)
-
-
 def collision_matrix(positions: np.ndarray) -> np.ndarray:
     """Boolean matrix ``M[i, j] = True`` iff agents i and j share a node (i != j).
 
@@ -392,10 +324,8 @@ __all__ = [
     "marked_collision_counts",
     "batched_collision_counts",
     "batched_collision_counts_linear",
-    "batched_collision_counts_portable",
     "batched_collision_profiles",
     "batched_collision_profiles_linear",
-    "batched_collision_profiles_portable",
     "batched_marked_collision_counts",
     "collision_matrix",
     "linear_counting_block_rows",

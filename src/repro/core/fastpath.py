@@ -503,154 +503,11 @@ def _report_phases(tel: Telemetry, runs: list[tuple[float, ...]]) -> None:
             tel.timer(f"fastpath.{phase}_seconds", seconds)
 
 
-def _run_portable(
-    topology: Topology,
-    config: SimulationConfig,
-    replicates: Optional[int],
-    seed: SeedLike,
-    namespace: str,
-):
-    """The fused loop body in pure array-API operations on ``namespace``.
-
-    Randomness stays on the host: placement, marking, and per-round step
-    draws come from the same NumPy generator in the same order as the
-    unchunked fused loop, then transfer into the namespace (the
-    Parasitoids pattern — host RNG, device arithmetic). Stepping goes
-    through the precomputed displacement table (one flat gather per
-    round); counting through the portable encounter primitives. Integer
-    state is therefore **bit-identical** to the default fused path on any
-    namespace with exact int64 — ``array_namespace="numpy"`` is pinned
-    against the default path by the equivalence suite, and
-    ``array-api-strict`` re-runs that battery in CI.
-
-    Loud capability errors, never silent fallbacks: movement models,
-    observation noise, and round hooks interleave host randomness with
-    namespace state in ways the portable loop cannot reproduce, and
-    topologies without a budget-sized displacement table have no portable
-    step. Both raise :class:`~repro.core.array_backend.ArrayBackendError`.
-    """
-    from repro.core.array_backend import ArrayBackendError, get_namespace, to_numpy
-    from repro.core.encounter import (
-        batched_collision_counts_portable,
-        batched_collision_profiles_portable,
-    )
-
-    unsupported = [
-        label
-        for label, present in (
-            ("movement models", config.movement is not None),
-            ("observation-noise models", config.collision_model is not None),
-            ("round hooks", config.round_hook is not None),
-        )
-        if present
-    ]
-    if unsupported:
-        raise ArrayBackendError(
-            f"array namespace {namespace!r} runs do not support "
-            f"{', '.join(unsupported)}: the portable loop covers the plain "
-            "topology walk (host RNG, namespace arithmetic); run this "
-            "workload on the default NumPy path instead"
-        )
-    xp = get_namespace(namespace)
-    table_np = build_step_table(topology)
-    if table_np is None:
-        raise ArrayBackendError(
-            f"array namespace {namespace!r} runs require a precomputed "
-            f"displacement table, but topology {topology.name!r} either "
-            "does not declare precomputed_steps or its table exceeds "
-            f"TABLE_BUDGET_ELEMENTS ({TABLE_BUDGET_ELEMENTS})"
-        )
-
-    serial = replicates is None
-    rng = as_generator(seed)
-    positions_np = _place_agents(topology, config, replicates, rng)
-    shape = positions_np.shape
-    initial_positions = positions_np.copy()
-    if config.marked_fraction > 0.0:
-        marked_np = rng.random(shape) < config.marked_fraction
-    else:
-        marked_np = np.zeros(shape, dtype=bool)
-    track_marked = bool(marked_np.any())
-
-    matrix_shape = shape if len(shape) == 2 else (1, *shape)
-    rounds = config.rounds
-    choices = topology.num_step_choices
-    num_nodes = topology.num_nodes
-
-    table = xp.asarray(table_np)
-    positions = xp.asarray(positions_np.reshape(matrix_shape))
-    marked = xp.asarray(marked_np.reshape(matrix_shape))
-    totals = xp.zeros(matrix_shape, dtype=xp.float64)
-    marked_totals = xp.zeros(matrix_shape, dtype=xp.float64)
-    # Trajectories accumulate as per-round snapshots and stack at the end:
-    # in-place row assignment is not portable (JAX arrays are immutable).
-    trajectory_frames = [] if config.record_trajectory else None
-    marked_trajectory_frames = (
-        [] if (config.record_trajectory and track_marked) else None
-    )
-
-    tel = get_telemetry()
-    timing = tel.enabled
-    start = time.perf_counter() if timing else 0.0
-
-    for round_index in range(rounds):
-        draws_np = topology.draw_steps(shape, rng)
-        draws = xp.asarray(draws_np.reshape(matrix_shape))
-        flat_index = xp.reshape(positions * choices + draws, (-1,))
-        positions = xp.reshape(xp.take(table, flat_index), matrix_shape)
-        if track_marked:
-            counts, marked_counts = batched_collision_profiles_portable(
-                positions, marked, num_nodes, xp=xp
-            )
-            marked_totals += xp.astype(marked_counts, xp.float64)
-            if marked_trajectory_frames is not None:
-                marked_trajectory_frames.append(xp.asarray(marked_totals, copy=True))
-        else:
-            counts = batched_collision_counts_portable(positions, num_nodes, xp=xp)
-        totals += xp.astype(counts, xp.float64)
-        if trajectory_frames is not None:
-            trajectory_frames.append(xp.asarray(totals, copy=True))
-
-    if timing:
-        tel.counter("fastpath.portable_runs", namespace=namespace)
-        tel.timer("fastpath.portable_seconds", time.perf_counter() - start)
-        tel.event(
-            "fastpath.portable_run",
-            namespace=namespace,
-            rows=int(matrix_shape[0]),
-            agents=int(matrix_shape[-1]),
-            rounds=rounds,
-        )
-
-    return _build_result(
-        serial,
-        replicates,
-        topology,
-        config,
-        to_numpy(totals).reshape(shape).astype(np.float64),
-        to_numpy(marked_totals).reshape(shape).astype(np.float64),
-        marked_np,
-        initial_positions,
-        to_numpy(positions).reshape(shape).astype(np.int64),
-        (
-            None
-            if trajectory_frames is None
-            else to_numpy(xp.stack(trajectory_frames)).reshape(rounds, *shape)
-        ),
-        (
-            None
-            if marked_trajectory_frames is None
-            else to_numpy(xp.stack(marked_trajectory_frames)).reshape(rounds, *shape)
-        ),
-    )
-
-
 def run_fused(
     topology: Topology,
     config: SimulationConfig,
     replicates: Optional[int],
     seed: SeedLike,
-    array_namespace: Optional[str] = None,
 ):
     """The fused round loop — bit-identical to the reference loop, faster.
 
@@ -659,14 +516,7 @@ def run_fused(
     argument validation happen there. Returns the same
     :class:`~repro.core.simulation.SimulationResult` /
     :class:`~repro.core.kernel.BatchSimulationResult` containers.
-
-    ``array_namespace`` routes the run through the portable array-API loop
-    (:func:`_run_portable`) on the named namespace instead of the
-    NumPy-specialised loop (:func:`_run_loop`); ``None`` (the default)
-    keeps the existing path byte-for-byte.
     """
-    if array_namespace is not None:
-        return _run_portable(topology, config, replicates, seed, array_namespace)
     tel = get_telemetry()
     result, seconds = _run_loop(topology, config, replicates, _SharedStream(seed), tel)
     _report_phases(tel, [seconds])

@@ -1,22 +1,17 @@
 """The one vectorized simulation kernel behind every execution path.
 
-Historically the repository carried **two** round loops for Algorithm 1:
-the serial ``core/simulation.py`` loop (one agent-set at a time) and the
-batched ``engine/batch.py`` loop (``(R, n)`` replicate matrices), gated by
-``batch_safe`` checks scattered over the call sites. This module collapses
-them into a single implementation, :func:`run_kernel`:
+:func:`run_kernel` runs Algorithm 1 for every agent, in one of two modes:
 
-* ``replicates=None`` — **serial mode**. The state arrays keep the legacy
-  shape ``(n,)``, placement/marking/movement/noise draw from the generator
-  in exactly the order the old serial loop did (bit-identical streams,
-  pinned by the golden fixtures in ``tests/baselines/kernel_golden.json``),
-  and per-round hooks observe ``(n,)`` arrays — the historical
-  :class:`~repro.core.simulation.RoundState` contract.
+* ``replicates=None`` — **serial mode**. The state arrays have shape
+  ``(n,)``, placement/marking/movement/noise draw from the generator in a
+  fixed order (pinned by the golden fixtures in
+  ``tests/baselines/kernel_golden.json``), and per-round hooks observe
+  ``(n,)`` arrays — the :class:`~repro.core.simulation.RoundState`
+  contract.
 * ``replicates=R`` — **batched mode**. All replicates advance through the
   round loop together as an ``(R, n)`` position matrix; one offset-label
-  ``np.unique`` pass counts collisions for every replicate at once
-  (:func:`repro.core.encounter.batched_collision_counts`). The streams are
-  identical to the pre-unification ``simulate_density_estimation_batch``.
+  pass counts collisions for every replicate at once
+  (:func:`repro.core.encounter.batched_collision_counts`).
 
 Both modes share every line of the loop body: collision counting always
 runs through the batched primitives (serial mode views its ``(n,)`` vector
@@ -323,7 +318,6 @@ def run_kernel(
     seed: SeedLike = None,
     backend: Optional[str] = None,
     shard_workers: Optional[int] = None,
-    array_namespace: Optional[str] = None,
 ) -> SimulationResult | BatchSimulationResult:
     """Run Algorithm 1 for every agent — serially or for ``R`` replicates at once.
 
@@ -365,14 +359,6 @@ def run_kernel(
         shared-stream results. Requires a simulating, non-reference
         backend; serial mode and ``round_hook`` configs fall back to the
         unsharded fused loop for every ``K``.
-    array_namespace:
-        ``None`` (default) runs NumPy. A registered namespace name
-        (``"numpy"``/``"array-api-strict"``/``"cupy"``/``"jax"``, see
-        :mod:`repro.core.array_backend`) routes the fused loop's array
-        ops through that namespace — identical portable code on every
-        library, host RNG, loud capability errors for features with no
-        portable form. Only the fused/auto backends support it, and it
-        cannot combine with ``shard_workers``.
 
     Returns
     -------
@@ -392,18 +378,6 @@ def run_kernel(
                 "single-threaded. Use backend='fused' (or 'auto') for "
                 "sharded runs."
             )
-        if array_namespace not in (None, "numpy"):
-            raise ValueError(
-                "shard_workers cannot combine with a non-NumPy "
-                f"array_namespace ({array_namespace!r}): device namespaces "
-                "manage their own intra-kernel parallelism"
-            )
-    if array_namespace is not None and resolved in ("reference", "analytic"):
-        raise ValueError(
-            f"array_namespace={array_namespace!r} requires a fused backend "
-            f"(got backend={resolved!r}): the portable loop is the fused "
-            "body routed through the namespace seam"
-        )
     if not serial:
         require_integer(replicates, "replicates", minimum=1)
         if resolved != "analytic":
@@ -435,7 +409,7 @@ def run_kernel(
             return run_sharded(topology, config, replicates, seed, shards)
         from repro.core.fastpath import run_fused  # deferred: fastpath imports us
 
-        return run_fused(topology, config, replicates, seed, array_namespace=array_namespace)
+        return run_fused(topology, config, replicates, seed)
 
     if tel.enabled:
         # The reference loop has no counting crossover: it is always the

@@ -6,9 +6,8 @@ each round every agent takes one random-walk step and then observes
 loop itself lives in :mod:`repro.core.kernel` (one vectorized
 implementation serving both the serial and the batched ``(R, n)`` path);
 this module defines its contract — the config, the result containers, the
-per-round hook protocol — plus :func:`simulate_density_estimation`, the
-deprecated serial wrapper kept for one release. Callers customise the
-simulation through three hooks:
+per-round hook protocol. Callers customise the simulation through three
+hooks:
 
 * ``placement`` — how agents are initially positioned (default: independent
   uniform placement, the assumption of Section 2);
@@ -20,14 +19,12 @@ simulation through three hooks:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
 import numpy as np
 
 from repro.topology.base import Topology
-from repro.utils.rng import SeedLike
 from repro.utils.validation import require_integer
 
 PlacementFn = Callable[[Topology, int, np.random.Generator], np.ndarray]
@@ -74,9 +71,9 @@ class RoundState:
     round. The loop validates that the per-agent arrays stay mutually
     consistent and that positions remain valid nodes of ``topology``.
 
-    In the single-run engine the per-agent arrays have shape ``(n,)``; in
-    the batched engine (:mod:`repro.engine.batch`) they have shape
-    ``(R, n)`` with a leading replicate axis. ``observed`` is this round's
+    In the kernel's serial mode the per-agent arrays have shape ``(n,)``;
+    in its batched mode (``replicates=R``) they have shape ``(R, n)`` with
+    a leading replicate axis. ``observed`` is this round's
     observed collision counts (already accumulated into ``totals``).
     """
 
@@ -105,9 +102,9 @@ def apply_round_hook(
 ) -> RoundState:
     """Invoke ``hook`` and validate the (possibly replaced) state arrays.
 
-    Shared by the single-run and batched engines so both enforce the same
-    contract: the per-agent arrays must keep one common shape and positions
-    must be valid nodes of the (possibly replaced) topology.
+    Shared by the kernel's reference and fused loops so both enforce the
+    same contract: the per-agent arrays must keep one common shape and
+    positions must be valid nodes of the (possibly replaced) topology.
     """
     hook(state)
     state.positions = np.asarray(state.positions, dtype=np.int64)
@@ -189,7 +186,7 @@ class SimulationConfig:
 
 @dataclass
 class SimulationResult:
-    """Raw outcome of :func:`simulate_density_estimation`.
+    """Raw outcome of a serial :func:`~repro.core.kernel.run_kernel` call.
 
     Attributes
     ----------
@@ -251,48 +248,17 @@ def uniform_placement(topology: Topology, count: int, rng: np.random.Generator) 
     return topology.uniform_nodes(count, rng)
 
 
-def simulate_density_estimation(
-    topology: Topology,
-    config: SimulationConfig,
-    seed: SeedLike = None,
-) -> SimulationResult:
-    """Run the encounter-rate simulation (Algorithm 1 for every agent).
+def resume_placement(positions: np.ndarray) -> PlacementFn:
+    """Placement that puts the agents back at ``positions``, drawing nothing.
 
-    .. deprecated:: 1.4.0
-        The serial round loop that used to live here has been unified with
-        the batched loop into :func:`repro.core.kernel.run_kernel`; this
-        function is now a thin serial-mode wrapper (``replicates=None``)
-        kept for one release. It is **bit-identical** to the historical
-        implementation — same random stream, same results, same
-        :class:`RoundState` hook contract — as pinned by the golden
-        fixtures in ``tests/baselines/kernel_golden.json``. Call
-        ``run_kernel(topology, config, None, seed)`` directly instead.
-
-    Parameters
-    ----------
-    topology:
-        Topology to walk on; any :class:`~repro.topology.Topology`.
-    config:
-        Simulation parameters; see :class:`SimulationConfig`.
-    seed:
-        Seed or generator controlling all randomness (placement, walks,
-        property assignment, and observation noise).
-
-    Returns
-    -------
-    SimulationResult
-        Per-agent collision totals and bookkeeping needed to form estimates.
+    Runs a simulation in segments — consecutive serial kernel calls on one
+    generator, each resuming where the last one stopped.
     """
-    warnings.warn(
-        "simulate_density_estimation is deprecated and will be removed in a "
-        "future release; call repro.core.kernel.run_kernel(topology, config, "
-        "None, seed) for the same (bit-identical) serial simulation",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.kernel import run_kernel  # deferred: kernel imports this module
 
-    return run_kernel(topology, config, None, seed)
+    def resume_placement(topology: Topology, count: int, rng: np.random.Generator) -> np.ndarray:
+        return positions
+
+    return resume_placement
 
 
 __all__ = [
@@ -303,6 +269,6 @@ __all__ = [
     "RoundState",
     "RoundHook",
     "apply_round_hook",
-    "simulate_density_estimation",
+    "resume_placement",
     "uniform_placement",
 ]

@@ -4,12 +4,12 @@ The experiment suite establishes every claim by averaging independent
 replicates. This package is the subsystem that runs those replicates fast
 and reproducibly:
 
-* :mod:`repro.engine.batch` — run ``R`` replicates of Algorithm 1 as **one
-  matrix simulation** (an ``(R, n)`` position matrix through the round loop,
-  one offset-label ``np.unique`` collision pass for all replicates). The
-  loop itself is the unified kernel of :mod:`repro.core.kernel`, which also
-  serves the serial path; :func:`repro.core.kernel.require_batch_safe` is
-  the one capability check guarding the replicate axis;
+* :func:`repro.core.kernel.run_kernel` (re-exported here) runs ``R``
+  replicates of Algorithm 1 as **one matrix simulation**: an ``(R, n)``
+  position matrix through the round loop, one offset-label collision pass
+  for all replicates. The same kernel serves the serial path;
+  :func:`repro.core.kernel.require_batch_safe` is the one capability check
+  guarding the replicate axis;
 * :mod:`repro.engine.scheduler` — a deterministic **process-parallel
   scheduler** for independent tasks that cannot be batched (network-size
   pipelines, adaptive stopping, heterogeneous grids), bit-identical across
@@ -27,6 +27,7 @@ and reproducibly:
 
 from repro.core.kernel import (
     KERNEL_BACKENDS,
+    BatchSimulationResult,
     get_default_backend,
     get_default_shard_workers,
     require_batch_safe,
@@ -34,7 +35,6 @@ from repro.core.kernel import (
     set_default_backend,
     set_default_shard_workers,
 )
-from repro.engine.batch import BatchSimulationResult, simulate_density_estimation_batch
 from repro.engine.cache import RunCache, cache_key
 from repro.engine.scheduler import (
     ExecutionEngine,
@@ -60,5 +60,4 @@ __all__ = [
     "run_kernel",
     "set_default_backend",
     "set_default_shard_workers",
-    "simulate_density_estimation_batch",
 ]

@@ -1,11 +1,11 @@
 """Deterministic parallel scheduling of independent simulation tasks.
 
-The batched matrix path (:mod:`repro.engine.batch`) covers the plain
-Algorithm 1 replicate workload; everything it cannot express — movement
-models, observation-noise hooks, the network-size pipelines — is a bag of
-independent tasks that differ only in their parameters and their random
-stream. This module runs such bags either serially or across a process
-pool, with one hard guarantee:
+The kernel's batched mode (``run_kernel(..., replicates=R)``) covers the
+plain Algorithm 1 replicate workload; everything it cannot express —
+movement models, observation-noise hooks, the network-size pipelines — is
+a bag of independent tasks that differ only in their parameters and their
+random stream. This module runs such bags either serially or across a
+process pool, with one hard guarantee:
 
 **the results are bit-identical regardless of the worker count.**
 
@@ -31,8 +31,12 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.batch import BatchSimulationResult, simulate_density_estimation_batch
-from repro.core.kernel import get_default_backend, get_default_shard_workers
+from repro.core.kernel import (
+    BatchSimulationResult,
+    get_default_backend,
+    get_default_shard_workers,
+    run_kernel,
+)
 from repro.core.simulation import SimulationConfig
 from repro.obs.telemetry import get_telemetry
 from repro.topology.base import Topology
@@ -367,27 +371,13 @@ def execute_plan(
     return results
 
 
-class _ScalarTrial:
-    """Adapt a ``runner(rng) -> float`` trial to the ``task(rng=...)`` contract.
-
-    Defined as a module-level class (not a closure) so that plans built from
-    scalar trials remain picklable whenever the wrapped runner is.
-    """
-
-    def __init__(self, runner: Callable[[np.random.Generator], float]):
-        self.runner = runner
-
-    def __call__(self, *, rng: np.random.Generator) -> float:
-        return float(self.runner(rng))
-
-
 @dataclass(frozen=True)
 class ExecutionEngine:
     """Facade over the engine's two execution strategies.
 
     * :meth:`run_replicates` — the batched matrix path for plain Algorithm 1
       replicate workloads (always in-process; ``workers`` is irrelevant).
-    * :meth:`map` / :meth:`repeat` — the scheduled path for independent
+    * :meth:`map` — the scheduled path for independent
       tasks that cannot be batched, fanned out over ``workers`` processes.
 
     Both paths are deterministic given their seed, and the scheduled path is
@@ -429,17 +419,6 @@ class ExecutionEngine:
         plan = build_plan(task, settings, seed, cost_hints=cost_hints)
         return execute_plan(plan, workers=self.workers, chunk_size=self.chunk_size)
 
-    def repeat(
-        self,
-        runner: Callable[[np.random.Generator], float],
-        repetitions: int,
-        seed: SeedLike = None,
-    ) -> np.ndarray:
-        """Run a scalar trial ``repetitions`` times; return the value vector."""
-        require_integer(repetitions, "repetitions", minimum=1)
-        values = self.map(_ScalarTrial(runner), [{}] * repetitions, seed)
-        return np.asarray(values, dtype=np.float64)
-
     # ------------------------------------------------------------------
     # Batched path
     # ------------------------------------------------------------------
@@ -451,7 +430,7 @@ class ExecutionEngine:
         seed: SeedLike = None,
     ) -> BatchSimulationResult:
         """Run independent Algorithm 1 replicates as one matrix simulation."""
-        return simulate_density_estimation_batch(topology, config, replicates, seed)
+        return run_kernel(topology, config, replicates, seed)
 
 
 __all__ = [

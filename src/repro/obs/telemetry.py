@@ -23,12 +23,17 @@ Two hard contracts:
   seed root) matching the :class:`~repro.store.ResultStore` sidecar
   convention — and flushes ``events.jsonl`` next to it.
 
-Span hierarchy (see README "Observability")::
+Span hierarchy (see README "Observability"); a level is skipped when its
+subsystem takes no part, e.g. ``run E17 --shard-workers 2`` nests
+``shardpath`` directly under ``run``::
 
     run                  # one CLI invocation (installed by repro.cli)
-     └─ plan             # one ExecutionPlan (scheduler)
-         └─ cell         # one plan task / sweep cell
-             └─ round_chunk   # one chunked multi-round RNG draw (fastpath)
+     └─ sweep            # one sweep spec (sweeps.runner)
+         └─ plan         # one ExecutionPlan (engine.scheduler)
+             └─ shardpath    # one sharded run_kernel call (core.shardpath)
+
+Chunk refills and loop armings are events (``fastpath.chunk_refill``,
+``fastpath.armed``) inside the enclosing span, not spans.
 
 The result store's streaming read path
 (:meth:`~repro.store.ResultStore.iter_select`) flushes one counter batch
@@ -102,7 +107,7 @@ class Telemetry:
         """Append one structured event to the stream (``"events"`` level only)."""
 
     def span(self, name: str, **fields: Any):
-        """Context manager timing a nested phase (run → plan → cell → ...)."""
+        """Context manager timing a nested phase (run → sweep → plan → shardpath)."""
         return _NULL_SPAN
 
     def summary(self) -> dict[str, Any]:

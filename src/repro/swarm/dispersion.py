@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.encounter import collision_counts
+from repro.core.kernel import run_kernel
+from repro.core.simulation import SimulationConfig, resume_placement
 from repro.topology.torus import Torus2D
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import require_integer
@@ -24,14 +25,19 @@ from repro.utils.validation import require_integer
 def occupancy_imbalance(topology: Torus2D, positions: np.ndarray, cells_per_side: int = 4) -> float:
     """Coefficient of variation of robot counts over coarse cells.
 
-    0 means perfectly even coverage; larger values mean more clustering.
+    The torus is cut into ``cells_per_side``² equal square cells, so
+    ``cells_per_side`` must divide ``topology.side``. 0 means perfectly
+    even coverage; larger values mean more clustering.
     """
     require_integer(cells_per_side, "cells_per_side", minimum=1)
+    if topology.side % cells_per_side:
+        raise ValueError(
+            f"cells_per_side={cells_per_side} must divide the torus side {topology.side}: "
+            "unequal cells would report uneven coverage for an even swarm"
+        )
     x, y = topology.decode(np.asarray(positions, dtype=np.int64))
-    cell_size = max(1, topology.side // cells_per_side)
-    cell_x = np.minimum(x // cell_size, cells_per_side - 1)
-    cell_y = np.minimum(y // cell_size, cells_per_side - 1)
-    cell_index = cell_x * cells_per_side + cell_y
+    cell_size = topology.side // cells_per_side
+    cell_index = (x // cell_size) * cells_per_side + y // cell_size
     counts = np.bincount(cell_index, minlength=cells_per_side**2).astype(np.float64)
     mean = counts.mean()
     if mean == 0:
@@ -80,7 +86,7 @@ def disperse_swarm(
     require_integer(rounds_per_epoch, "rounds_per_epoch", minimum=1)
     require_integer(spread_steps, "spread_steps", minimum=0)
     rng = as_generator(seed)
-    positions = np.asarray(positions, dtype=np.int64).copy()
+    positions = np.asarray(positions, dtype=np.int64)
     topology.validate_nodes(positions)
     num_robots = positions.shape[0]
     target_density = (num_robots - 1) / topology.num_nodes
@@ -89,12 +95,14 @@ def disperse_swarm(
     history[0] = occupancy_imbalance(topology, positions, cells_per_side)
 
     for epoch in range(1, epochs + 1):
-        totals = np.zeros(num_robots, dtype=np.float64)
-        for _ in range(rounds_per_epoch):
-            positions = topology.step_many(positions, rng)
-            totals += collision_counts(positions)
-        estimates = totals / rounds_per_epoch
-        crowded = estimates > target_density
+        # The counting rounds are one serial kernel run on the shared
+        # generator, starting where the robots stand (the kernel copies them).
+        config = SimulationConfig(
+            num_robots, rounds_per_epoch, placement=resume_placement(positions)
+        )
+        counting = run_kernel(topology, config, None, rng)
+        positions = counting.final_positions
+        crowded = counting.estimates() > target_density
         for _ in range(spread_steps):
             stepped = topology.step_many(positions, rng)
             positions = np.where(crowded, stepped, positions)

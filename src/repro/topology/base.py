@@ -81,9 +81,9 @@ class Topology(abc.ABC):
         positions:
             Integer array of current node labels, of **any shape**. In
             particular implementations must accept the ``(replicates,
-            agents)`` matrices carried by the batched execution engine
-            (:mod:`repro.engine.batch`), so batching needs no per-topology
-            special cases; every entry is stepped independently.
+            agents)`` matrices of the kernel's batched mode
+            (:func:`repro.core.kernel.run_kernel`), so batching needs no
+            per-topology special cases; every entry is stepped independently.
         rng:
             Generator supplying the randomness.
 

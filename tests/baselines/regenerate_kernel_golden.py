@@ -3,11 +3,9 @@
 The fixtures in ``kernel_golden.json`` pin the exact random stream of the
 pre-refactor serial simulation loop (``simulate_density_estimation`` as it
 existed before the single-kernel refactor) for every catalog movement model
-x collision/noise model combination. After the refactor the serial entry
-point is a thin ``R = 1`` wrapper over the vectorized kernel
-(:func:`repro.core.kernel.run_kernel`); these fixtures are the contract
-that the wrapper — and the kernel's ``replicates=1`` path — reproduce that
-stream bit for bit.
+x collision/noise model combination. These fixtures are the contract that
+the vectorized kernel (:func:`repro.core.kernel.run_kernel`) reproduces
+that stream bit for bit, in serial mode and at ``replicates=1``.
 
 The fixtures were generated once from the pre-refactor loop and committed;
 regenerating them against the current code only confirms the kernel still
@@ -21,7 +19,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.simulation import SimulationConfig, simulate_density_estimation
+from repro.core.kernel import run_kernel
+from repro.core.simulation import SimulationConfig
 from repro.swarm.noise import NoisyCollisionModel
 from repro.topology.torus import Torus2D
 from repro.walks.movement import (
@@ -68,7 +67,7 @@ def generate() -> dict:
                         collision_model=noise,
                         movement=movement,
                     )
-                    outcome = simulate_density_estimation(Torus2D(SIDE), config, seed)
+                    outcome = run_kernel(Torus2D(SIDE), config, None, seed)
                     cases.append(
                         {
                             "movement": movement_name,

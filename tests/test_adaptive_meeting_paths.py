@@ -1,5 +1,9 @@
 """Tests for adaptive estimation, meeting/hitting times, and path-based counting."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -18,6 +22,21 @@ from repro.topology.graph import NetworkXTopology
 from repro.topology.ring import Ring
 from repro.topology.torus import Torus2D
 from repro.walks.meeting import hitting_times, meeting_times, summarize_first_passage
+
+BASELINES = Path(__file__).parent / "baselines"
+ESTIMATOR_GOLDEN = json.loads((BASELINES / "adaptive_golden.json").read_text())
+
+
+def _load_golden_generator():
+    """The fixture's generator module: its case builders and digest are the spec."""
+    path = BASELINES / "regenerate_adaptive_golden.py"
+    spec = importlib.util.spec_from_file_location("regenerate_adaptive_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden_generator = _load_golden_generator()
 
 
 class TestAdaptiveDensityEstimator:
@@ -74,6 +93,31 @@ class TestAdaptiveDensityEstimator:
 
     def test_rounds_for_threshold_grows_with_tighter_margin(self):
         assert rounds_for_threshold(0.1, 0.2, 0.05) > rounds_for_threshold(0.1, 0.6, 0.05)
+
+
+class TestEstimatorGolden:
+    """Both estimators reproduce the streams the fixture was generated from, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ESTIMATOR_GOLDEN["adaptive"]["cases"],
+        ids=lambda c: f"{c['topology']}-n{c['num_agents']}-eps{c['target_epsilon']}-s{c['seed']}",
+    )
+    def test_adaptive_matches_fixture(self, case):
+        assert golden_generator.run_adaptive(case) == case["outcome"]
+
+    @pytest.mark.parametrize(
+        "case",
+        ESTIMATOR_GOLDEN["dispersion"]["cases"],
+        ids=lambda c: f"side{c['side']}-n{c['robots']}-spread{c['spread_steps']}-{c['placement']}",
+    )
+    def test_dispersion_matches_fixture(self, case):
+        assert golden_generator.run_dispersion(case) == case["outcome"]
+
+    def test_fixture_covers_early_stops_and_capped_runs(self):
+        cap = ESTIMATOR_GOLDEN["adaptive"]["max_rounds"]
+        rounds = {case["outcome"]["rounds_used"] for case in ESTIMATOR_GOLDEN["adaptive"]["cases"]}
+        assert cap in rounds and min(rounds) < cap
 
 
 class TestMeetingAndHittingTimes:

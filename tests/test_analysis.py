@@ -18,7 +18,7 @@ from repro.analysis.concentration import (
     median_of_means,
     subexponential_deviation,
 )
-from repro.analysis.sweep import cartesian_grid, repeat_and_average, run_sweep
+from repro.analysis.sweep import cartesian_grid
 
 
 class TestConcentration:
@@ -125,28 +125,3 @@ class TestSweep:
 
     def test_cartesian_grid_empty(self):
         assert cartesian_grid() == [{}]
-
-    def test_run_sweep_merges_settings_and_outputs(self):
-        def runner(a, rng):
-            return {"double": 2 * a, "draw": float(rng.random())}
-
-        records = run_sweep(runner, [{"a": 1}, {"a": 5}], seed=0)
-        assert records[0]["a"] == 1 and records[0]["double"] == 2
-        assert records[1]["a"] == 5 and records[1]["double"] == 10
-
-    def test_run_sweep_deterministic(self):
-        def runner(a, rng):
-            return {"draw": float(rng.random())}
-
-        first = run_sweep(runner, [{"a": 1}], seed=3)
-        second = run_sweep(runner, [{"a": 1}], seed=3)
-        assert first == second
-
-    def test_repeat_and_average(self):
-        mean, std = repeat_and_average(lambda rng: float(rng.normal(5.0, 0.1)), 50, seed=0)
-        assert mean == pytest.approx(5.0, abs=0.1)
-        assert std < 0.2
-
-    def test_repeat_and_average_validation(self):
-        with pytest.raises(ValueError):
-            repeat_and_average(lambda rng: 0.0, 0)

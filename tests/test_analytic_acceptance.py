@@ -2,20 +2,16 @@
 
 Two promises the backend makes, pinned as tests:
 
-* **O(1) in replicates** — solving the law costs the same for ``R = 10``
-  and ``R = 1000`` (the replicate axis is a broadcast view, so ``R`` never
-  enters the arithmetic); and at ``R = 1000`` the analytic solve is at
-  least ~100x faster than the fused simulating backend on an E01-class
-  workload (measured ~160x on the reference container; the gates below
-  leave headroom for machine noise).
+* **O(1) in replicates** — the replicate axis is a broadcast view, so an
+  ``R = 10**7`` call materialises nothing. The wall-clock side of this
+  promise (R=10 vs R=1000 cost, the R=10**7 call time, the speedup over the
+  fused backend) is gated in ``benchmarks/bench_analytic.py``, not here.
 * **Agreement** — the simulating backends land inside the analytic theory
   bands on both a slow-mixing torus and a well-mixed graph, i.e. the law
   the backend returns is the law the simulators sample from.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -31,49 +27,12 @@ TOPOLOGY = Torus2D(32)
 CONFIG = SimulationConfig(num_agents=104, rounds=100)
 
 
-def _best_seconds(callable_, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class TestRuntimeIsConstantInReplicates:
-    def test_r10_and_r1000_cost_the_same(self):
-        run_kernel(TOPOLOGY, CONFIG, 2, 0, backend="analytic")  # warm caches
-        small = _best_seconds(lambda: run_kernel(TOPOLOGY, CONFIG, 10, 0, backend="analytic"))
-        large = _best_seconds(
-            lambda: run_kernel(TOPOLOGY, CONFIG, 1000, 0, backend="analytic")
-        )
-        # Identical work modulo container bookkeeping: within noise, not 100x.
-        assert large < 3.0 * small + 1e-3
-
     def test_huge_replicate_counts_stay_cheap(self):
-        # R = 10**7 would be ~8 TB of estimates if materialised; the
-        # broadcast view makes it a sub-second call with tiny memory.
-        start = time.perf_counter()
+        # R = 10**7 would be ~8 TB of estimates if materialised.
         batch = run_kernel(TOPOLOGY, CONFIG, 10**7, 0, backend="analytic")
-        elapsed = time.perf_counter() - start
-        assert elapsed < 2.0
         assert batch.collision_totals.shape == (10**7, CONFIG.num_agents)
         assert batch.collision_totals.strides[0] == 0
-
-
-class TestSpeedupOverSimulation:
-    def test_at_least_50x_faster_than_fused_at_r1000(self):
-        # Measured ~160x on the reference container; gate at 50x so a noisy
-        # or throttled CI machine cannot flake the suite while still
-        # catching any regression that reintroduces per-replicate work.
-        run_kernel(TOPOLOGY, CONFIG, 2, 0, backend="analytic")  # warm caches
-        analytic = _best_seconds(
-            lambda: run_kernel(TOPOLOGY, CONFIG, 1000, 0, backend="analytic"), repeats=3
-        )
-        fused = _best_seconds(
-            lambda: run_kernel(TOPOLOGY, CONFIG, 1000, 0, backend="fused"), repeats=1
-        )
-        assert fused / analytic > 50.0
 
 
 class TestAgreementWithSimulation:

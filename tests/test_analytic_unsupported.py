@@ -175,13 +175,15 @@ class TestCliNegativePaths:
             (["run", "E14", "--quick", "--backend", "analytic"], "collision model"),
             # E19 ablates non-uniform movement models.
             (["run", "E19", "--quick", "--backend", "analytic"], "movement"),
+            # E21's adaptive phases resume from the previous phase's positions.
+            (["run", "E21", "--quick", "--backend", "analytic"], "resume_placement"),
             # Dynamic scenarios drive the simulation through a round hook.
             (
                 ["scenario", "run", "--scenario", "crash", "--quick", "--backend", "analytic"],
                 "round_hook",
             ),
         ],
-        ids=["e20-topology", "e14-noise", "e19-movement", "scenario-hook"],
+        ids=["e20-topology", "e14-noise", "e19-movement", "e21-adaptive", "scenario-hook"],
     )
     def test_exit_2_with_named_offender_and_no_traceback(self, capsys, argv, needle):
         assert main(argv) == 2

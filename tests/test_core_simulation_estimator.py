@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import RandomWalkDensityEstimator, estimate_density
+from repro.core.kernel import run_kernel
 from repro.core.results import AccuracySummary, DensityEstimationRun
-from repro.core.simulation import (
-    SimulationConfig,
-    simulate_density_estimation,
-    uniform_placement,
-)
+from repro.core.simulation import SimulationConfig, uniform_placement
 from repro.topology.complete import CompleteGraph
 from repro.topology.torus import Torus2D
 
@@ -31,7 +28,7 @@ class TestSimulationConfig:
 class TestSimulateDensityEstimation:
     def test_output_shapes(self, small_torus):
         config = SimulationConfig(num_agents=30, rounds=20)
-        outcome = simulate_density_estimation(small_torus, config, seed=0)
+        outcome = run_kernel(small_torus, config, None, seed=0)
         assert outcome.collision_totals.shape == (30,)
         assert outcome.initial_positions.shape == (30,)
         assert outcome.final_positions.shape == (30,)
@@ -40,30 +37,30 @@ class TestSimulateDensityEstimation:
 
     def test_true_density_convention(self, small_torus):
         config = SimulationConfig(num_agents=30, rounds=5)
-        outcome = simulate_density_estimation(small_torus, config, seed=0)
+        outcome = run_kernel(small_torus, config, None, seed=0)
         assert outcome.true_density == pytest.approx(29 / small_torus.num_nodes)
 
     def test_deterministic_given_seed(self, small_torus):
         config = SimulationConfig(num_agents=25, rounds=15)
-        a = simulate_density_estimation(small_torus, config, seed=7)
-        b = simulate_density_estimation(small_torus, config, seed=7)
+        a = run_kernel(small_torus, config, None, seed=7)
+        b = run_kernel(small_torus, config, None, seed=7)
         assert np.array_equal(a.collision_totals, b.collision_totals)
 
     def test_different_seeds_differ(self, small_torus):
         config = SimulationConfig(num_agents=40, rounds=30)
-        a = simulate_density_estimation(small_torus, config, seed=1)
-        b = simulate_density_estimation(small_torus, config, seed=2)
+        a = run_kernel(small_torus, config, None, seed=1)
+        b = run_kernel(small_torus, config, None, seed=2)
         assert not np.array_equal(a.collision_totals, b.collision_totals)
 
     def test_single_agent_sees_no_collisions(self, small_torus):
         config = SimulationConfig(num_agents=1, rounds=50)
-        outcome = simulate_density_estimation(small_torus, config, seed=0)
+        outcome = run_kernel(small_torus, config, None, seed=0)
         assert outcome.collision_totals.tolist() == [0.0]
         assert outcome.true_density == 0.0
 
     def test_trajectory_recorded_when_requested(self, small_torus):
         config = SimulationConfig(num_agents=10, rounds=12, record_trajectory=True)
-        outcome = simulate_density_estimation(small_torus, config, seed=0)
+        outcome = run_kernel(small_torus, config, None, seed=0)
         assert outcome.trajectory is not None
         assert outcome.trajectory.shape == (12, 10)
         # Cumulative counts are non-decreasing over rounds.
@@ -72,7 +69,7 @@ class TestSimulateDensityEstimation:
 
     def test_marked_agents_tracked(self, small_torus):
         config = SimulationConfig(num_agents=60, rounds=30, marked_fraction=0.5)
-        outcome = simulate_density_estimation(small_torus, config, seed=3)
+        outcome = run_kernel(small_torus, config, None, seed=3)
         assert outcome.marked.any()
         assert np.all(outcome.marked_collision_totals <= outcome.collision_totals)
 
@@ -81,7 +78,7 @@ class TestSimulateDensityEstimation:
             return np.zeros(count, dtype=np.int64)
 
         config = SimulationConfig(num_agents=5, rounds=1, placement=corner_placement)
-        outcome = simulate_density_estimation(small_torus, config, seed=0)
+        outcome = run_kernel(small_torus, config, None, seed=0)
         assert np.all(outcome.initial_positions == 0)
 
     def test_bad_placement_shape_rejected(self, small_torus):
@@ -90,7 +87,7 @@ class TestSimulateDensityEstimation:
 
         config = SimulationConfig(num_agents=5, rounds=1, placement=bad_placement)
         with pytest.raises(ValueError):
-            simulate_density_estimation(small_torus, config, seed=0)
+            run_kernel(small_torus, config, None, seed=0)
 
     def test_uniform_placement_helper(self, small_torus, rng):
         positions = uniform_placement(small_torus, 100, rng)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.simulation import SimulationConfig, simulate_density_estimation
+from repro.core.kernel import run_kernel
+from repro.core.simulation import SimulationConfig
 from repro.dynamics import (
     AgentArrival,
     AgentDeparture,
@@ -34,7 +35,7 @@ from repro.dynamics.online import (
     TwoWindowChangeDetector,
 )
 from repro.dynamics.scenario import QUICK_ROUNDS, build_movement, build_noise, build_topology
-from repro.engine import ExecutionEngine, simulate_density_estimation_batch
+from repro.engine import ExecutionEngine
 from repro.topology import Ring, Torus2D
 from repro.utils.serialization import to_jsonable
 from repro import cli
@@ -404,7 +405,7 @@ class TestDriver:
             rounds=scenario.rounds,
             round_hook=_CountingHook(scenario),
         )
-        outcome = simulate_density_estimation_batch(
+        outcome = run_kernel(
             scenario.build_topology(), config, 2, seed=0
         )
         assert outcome.collision_totals.shape == (2, survivors)
@@ -562,17 +563,17 @@ class TestRoundHookContract:
         config = SimulationConfig(
             num_agents=9, rounds=7, round_hook=lambda state: seen.append(state.round_index)
         )
-        simulate_density_estimation(Torus2D(6), config, seed=0)
+        run_kernel(Torus2D(6), config, None, seed=0)
         assert seen == list(range(7))
 
     def test_noop_hook_preserves_the_stream(self):
         config_plain = SimulationConfig(num_agents=9, rounds=12)
         config_hooked = SimulationConfig(num_agents=9, rounds=12, round_hook=lambda state: None)
-        plain = simulate_density_estimation(Torus2D(6), config_plain, seed=5)
-        hooked = simulate_density_estimation(Torus2D(6), config_hooked, seed=5)
+        plain = run_kernel(Torus2D(6), config_plain, None, seed=5)
+        hooked = run_kernel(Torus2D(6), config_hooked, None, seed=5)
         assert np.array_equal(plain.collision_totals, hooked.collision_totals)
-        batch_plain = simulate_density_estimation_batch(Torus2D(6), config_plain, 3, seed=5)
-        batch_hooked = simulate_density_estimation_batch(Torus2D(6), config_hooked, 3, seed=5)
+        batch_plain = run_kernel(Torus2D(6), config_plain, 3, seed=5)
+        batch_hooked = run_kernel(Torus2D(6), config_hooked, 3, seed=5)
         assert np.array_equal(batch_plain.collision_totals, batch_hooked.collision_totals)
 
     def test_hook_shape_desync_rejected(self):
@@ -581,7 +582,7 @@ class TestRoundHookContract:
 
         config = SimulationConfig(num_agents=6, rounds=2, round_hook=bad_hook)
         with pytest.raises(ValueError, match="inconsistent state"):
-            simulate_density_estimation(Torus2D(6), config, seed=0)
+            run_kernel(Torus2D(6), config, None, seed=0)
 
     def test_hook_cannot_empty_the_population(self):
         def exterminate(state):
@@ -592,7 +593,7 @@ class TestRoundHookContract:
 
         config = SimulationConfig(num_agents=4, rounds=2, round_hook=exterminate)
         with pytest.raises(ValueError, match="at least one live agent"):
-            simulate_density_estimation(Torus2D(6), config, seed=0)
+            run_kernel(Torus2D(6), config, None, seed=0)
 
     def test_hook_incompatible_with_trajectory_recording(self):
         with pytest.raises(ValueError, match="trajectory"):
@@ -609,7 +610,7 @@ class TestRoundHookContract:
 
         config = SimulationConfig(num_agents=4, rounds=2, round_hook=flatten)
         with pytest.raises(ValueError, match="replicate axis"):
-            simulate_density_estimation_batch(Torus2D(6), config, 3, seed=0)
+            run_kernel(Torus2D(6), config, 3, seed=0)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the batched replicate execution path (repro.engine.batch)."""
+"""Tests for the batched replicate execution path (``run_kernel``'s ``(R, n)`` mode)."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from repro.core.encounter import (
     collision_counts,
     marked_collision_counts,
 )
-from repro.core.simulation import SimulationConfig, simulate_density_estimation
-from repro.engine import simulate_density_estimation_batch
+from repro.core.kernel import run_kernel
+from repro.core.simulation import SimulationConfig
 from repro.swarm.noise import NoisyCollisionModel
 from repro.topology import (
     BoundedGrid,
@@ -109,8 +109,8 @@ class TestBatchSimulation:
         # loop (same draws in the same order), so results match bit for bit.
         config = SimulationConfig(num_agents=37, rounds=60, marked_fraction=0.25)
         for topology in (Torus2D(12), Ring(50)):
-            legacy = simulate_density_estimation(topology, config, seed=123)
-            batch = simulate_density_estimation_batch(topology, config, 1, seed=123)
+            legacy = run_kernel(topology, config, None, seed=123)
+            batch = run_kernel(topology, config, 1, seed=123)
             assert np.array_equal(batch.collision_totals[0], legacy.collision_totals)
             assert np.array_equal(
                 batch.marked_collision_totals[0], legacy.marked_collision_totals
@@ -125,10 +125,10 @@ class TestBatchSimulation:
         topology = Torus2D(16)
         config = SimulationConfig(num_agents=78, rounds=120)
         replicates = 48
-        batch = simulate_density_estimation_batch(topology, config, replicates, seed=9)
+        batch = run_kernel(topology, config, replicates, seed=9)
         legacy = np.stack(
             [
-                simulate_density_estimation(topology, config, seed=1000 + index).collision_totals
+                run_kernel(topology, config, None, seed=1000 + index).collision_totals
                 for index in range(replicates)
             ]
         )
@@ -141,15 +141,15 @@ class TestBatchSimulation:
     def test_determinism_given_seed(self):
         topology = Torus2D(10)
         config = SimulationConfig(num_agents=20, rounds=30)
-        first = simulate_density_estimation_batch(topology, config, 5, seed=7)
-        second = simulate_density_estimation_batch(topology, config, 5, seed=7)
+        first = run_kernel(topology, config, 5, seed=7)
+        second = run_kernel(topology, config, 5, seed=7)
         assert np.array_equal(first.collision_totals, second.collision_totals)
         assert np.array_equal(first.final_positions, second.final_positions)
 
     def test_replicate_view_and_shapes(self):
         topology = TorusKD(5, 3)
         config = SimulationConfig(num_agents=25, rounds=40, record_trajectory=True)
-        batch = simulate_density_estimation_batch(topology, config, 6, seed=2)
+        batch = run_kernel(topology, config, 6, seed=2)
         assert batch.replicates == 6
         assert batch.num_agents == 25
         assert batch.estimates().shape == (6, 25)
@@ -162,7 +162,7 @@ class TestBatchSimulation:
         assert view.true_density == batch.true_density
 
     def test_replicate_index_out_of_range(self):
-        batch = simulate_density_estimation_batch(
+        batch = run_kernel(
             Torus2D(6), SimulationConfig(num_agents=5, rounds=3), 2, seed=0
         )
         with pytest.raises(IndexError):
@@ -178,7 +178,7 @@ class TestBatchSimulation:
             return np.zeros(count, dtype=np.int64)
 
         config = SimulationConfig(num_agents=8, rounds=5, placement=corner_placement)
-        batch = simulate_density_estimation_batch(topology, config, 3, seed=1)
+        batch = run_kernel(topology, config, 3, seed=1)
         assert np.array_equal(batch.initial_positions, np.zeros((3, 8)))
 
     def test_bad_placement_shape_rejected(self):
@@ -186,7 +186,7 @@ class TestBatchSimulation:
             num_agents=8, rounds=5, placement=lambda t, count, rng: np.zeros(count + 1, dtype=np.int64)
         )
         with pytest.raises(ValueError, match="placement must return shape"):
-            simulate_density_estimation_batch(Torus2D(6), config, 2, seed=0)
+            run_kernel(Torus2D(6), config, 2, seed=0)
 
     def test_non_batch_safe_movement_model_rejected_by_name(self):
         class WholePopulationWalk:
@@ -199,14 +199,14 @@ class TestBatchSimulation:
 
         config = SimulationConfig(num_agents=5, rounds=3, movement=WholePopulationWalk())
         with pytest.raises(ValueError, match="whole_population_walk"):
-            simulate_density_estimation_batch(Torus2D(6), config, 2, seed=0)
+            run_kernel(Torus2D(6), config, 2, seed=0)
 
     def test_collision_avoiding_walk_batches(self):
         # The last scheduler-only catalog model is now vectorized: its
         # co-location test runs per replicate row, so it batches — and each
         # row reproduces the serial run of the same stream contract.
         config = SimulationConfig(num_agents=10, rounds=6, movement=CollisionAvoidingWalk(avoidance_steps=2))
-        batch = simulate_density_estimation_batch(Torus2D(6), config, 3, seed=9)
+        batch = run_kernel(Torus2D(6), config, 3, seed=9)
         assert batch.collision_totals.shape == (3, 10)
         assert np.all(batch.collision_totals >= 0)
 
@@ -220,7 +220,7 @@ class TestBatchSimulation:
             num_agents=5, rounds=3, collision_model=WholePopulationModel()
         )
         with pytest.raises(ValueError, match="scheduler"):
-            simulate_density_estimation_batch(Torus2D(6), config, 2, seed=0)
+            run_kernel(Torus2D(6), config, 2, seed=0)
 
     def test_batch_safe_movement_model_accepted(self):
         # Elementwise movement models run on the (R, n) matrix; each
@@ -228,7 +228,7 @@ class TestBatchSimulation:
         config = SimulationConfig(
             num_agents=12, rounds=6, movement=LazyRandomWalk(stay_probability=0.5)
         )
-        batch = simulate_density_estimation_batch(Torus2D(6), config, 3, seed=7)
+        batch = run_kernel(Torus2D(6), config, 3, seed=7)
         assert batch.collision_totals.shape == (3, 12)
         assert np.all(batch.collision_totals >= 0)
 
@@ -236,22 +236,22 @@ class TestBatchSimulation:
         config = SimulationConfig(
             num_agents=12, rounds=6, collision_model=NoisyCollisionModel(miss_probability=0.5)
         )
-        batch = simulate_density_estimation_batch(Torus2D(6), config, 3, seed=7)
+        batch = run_kernel(Torus2D(6), config, 3, seed=7)
         assert batch.collision_totals.shape == (3, 12)
         # Missed detections can only lower the observed totals.
-        noiseless = simulate_density_estimation_batch(
+        noiseless = run_kernel(
             Torus2D(6), SimulationConfig(num_agents=12, rounds=6), 3, seed=7
         )
         assert batch.collision_totals.sum() <= noiseless.collision_totals.sum()
 
     def test_replicates_validated(self):
         with pytest.raises(ValueError):
-            simulate_density_estimation_batch(
+            run_kernel(
                 Torus2D(6), SimulationConfig(num_agents=5, rounds=3), 0, seed=0
             )
 
     def test_unbiased_across_replicates(self):
         topology = Torus2D(20)
         config = SimulationConfig(num_agents=41, rounds=150)
-        batch = simulate_density_estimation_batch(topology, config, 24, seed=4)
+        batch = run_kernel(topology, config, 24, seed=4)
         assert batch.estimates().mean() == pytest.approx(batch.true_density, rel=0.05)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.analysis.sweep import repeat_and_average, run_sweep
 from repro.engine import (
     ExecutionEngine,
     ExecutionPlan,
@@ -12,17 +11,12 @@ from repro.engine import (
     iter_execute_plan,
 )
 from repro.experiments import e09_network_size
-from repro.utils.rng import spawn_seed_sequences
+from repro.utils.rng import spawn_generators, spawn_seed_sequences
 
 
 def sample_task(label, scale, rng):
     """Module-level task so process workers can unpickle it."""
     return {"label": label, "value": float(scale * rng.normal())}
-
-
-def scalar_trial(rng):
-    """Module-level scalar trial for repeat/repeat_and_average tests."""
-    return float(rng.normal(5.0, 0.1))
 
 
 def sweep_runner(a, rng):
@@ -140,16 +134,6 @@ class TestExecutionEngine:
         plan = build_plan(sample_task, SETTINGS, seed=2)
         assert engine.map(sample_task, SETTINGS, seed=2) == execute_plan(plan)
 
-    def test_repeat_returns_value_vector(self):
-        values = ExecutionEngine().repeat(scalar_trial, 40, seed=0)
-        assert values.shape == (40,)
-        assert values.mean() == pytest.approx(5.0, abs=0.1)
-
-    def test_repeat_identical_across_workers(self):
-        serial = ExecutionEngine(workers=1).repeat(scalar_trial, 12, seed=8)
-        parallel = ExecutionEngine(workers=3).repeat(scalar_trial, 12, seed=8)
-        assert np.array_equal(serial, parallel)
-
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             ExecutionEngine(workers=0)
@@ -166,35 +150,25 @@ class TestExecutionEngine:
         assert batch.estimates().shape == (4, 10)
 
 
-class TestSweepEngineIntegration:
-    def test_run_sweep_with_engine_matches_default_path(self):
-        # For int seeds the engine's serial path consumes the same spawned
-        # child streams as the legacy loop, so records match exactly.
-        settings = [{"a": 1}, {"a": 5}, {"a": 9}]
-        legacy = run_sweep(sweep_runner, settings, seed=4)
-        engine = run_sweep(sweep_runner, settings, seed=4, engine=ExecutionEngine())
-        assert legacy == engine
+class TestLegacyGeneratorStreams:
+    """``engine.map`` hands task ``i`` the stream ``spawn_generators`` gave trial ``i``.
 
-    def test_run_sweep_engine_matches_default_for_generator_seed(self):
-        # Generator seeds draw one child seed per task on both paths, so the
-        # engine route matches the legacy loop even mid-stream.
-        settings = [{"a": 1}, {"a": 5}, {"a": 9}]
-        legacy = run_sweep(sweep_runner, settings, seed=np.random.default_rng(7))
-        engine = run_sweep(
-            sweep_runner, settings, seed=np.random.default_rng(7), engine=ExecutionEngine()
-        )
-        assert legacy == engine
+    The experiments' "cell seeds match the legacy trial generators" rests on
+    this, for int seeds and for a generator seed mid-stream alike.
+    """
 
-    def test_run_sweep_parallel_matches_serial(self):
-        settings = [{"a": i} for i in range(9)]
-        serial = run_sweep(sweep_runner, settings, seed=1, engine=ExecutionEngine(workers=1))
-        parallel = run_sweep(sweep_runner, settings, seed=1, engine=ExecutionEngine(workers=3))
-        assert serial == parallel
+    SETTINGS = [{"a": 1}, {"a": 5}, {"a": 9}]
 
-    def test_repeat_and_average_with_engine_matches_default_path(self):
-        legacy = repeat_and_average(scalar_trial, 25, seed=6)
-        engine = repeat_and_average(scalar_trial, 25, seed=6, engine=ExecutionEngine())
-        assert legacy == engine
+    def _legacy_loop(self, seed):
+        rngs = spawn_generators(seed, len(self.SETTINGS))
+        return [sweep_runner(**setting, rng=rng) for setting, rng in zip(self.SETTINGS, rngs)]
+
+    def test_int_seed(self):
+        assert ExecutionEngine().map(sweep_runner, self.SETTINGS, seed=4) == self._legacy_loop(4)
+
+    def test_generator_seed(self):
+        engine = ExecutionEngine().map(sweep_runner, self.SETTINGS, seed=np.random.default_rng(7))
+        assert engine == self._legacy_loop(np.random.default_rng(7))
 
 
 class TestExperimentDeterminism:

@@ -17,12 +17,10 @@ Four contracts are pinned here:
    bit-identically (same values, same generator state), and
    ``draw_steps_chunk`` row ``k`` equals the ``k``-th sequential draw.
 4. **Backend API plumbing** — validation of backend names, the process
-   default, the ``simulate_density_estimation_batch`` pass-through, and
-   hoisted-validation behaviour for foreign movement models.
+   default, and hoisted-validation behaviour for foreign movement models.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +46,6 @@ from repro.core.kernel import (
     set_default_backend,
 )
 from repro.core.simulation import SimulationConfig
-from repro.engine import simulate_density_estimation_batch
 from repro.swarm.noise import NoisyCollisionModel
 from repro.topology.bounded_grid import BoundedGrid
 from repro.topology.complete import CompleteGraph
@@ -454,14 +451,6 @@ class TestBackendAPI:
         explicit = run_kernel(Torus2D(6), config, None, 2, backend="reference")
         assert np.array_equal(outcome.collision_totals, explicit.collision_totals)
 
-    def test_engine_batch_forwards_backend(self):
-        config = SimulationConfig(num_agents=8, rounds=4)
-        via_batch = simulate_density_estimation_batch(
-            Torus2D(6), config, 3, seed=4, backend="fused"
-        )
-        direct = run_kernel(Torus2D(6), config, 3, 4, backend="fused")
-        assert_outcomes_equal(via_batch, direct, "engine batch")
-
     def test_backends_exported_from_engine(self):
         import repro.engine as engine
 
@@ -549,16 +538,3 @@ class TestHoistedValidation:
             # These draw their own randomness interleaved with the
             # topology's; chunked drawing would reorder the stream.
             assert not model.precomputed_steps, model.name
-
-
-class TestDeprecatedShimStillWorks:
-    def test_shim_routes_through_default_backend(self, restore_default_backend):
-        from repro.core.simulation import simulate_density_estimation
-
-        set_default_backend("fused")
-        config = SimulationConfig(num_agents=8, rounds=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shimmed = simulate_density_estimation(Torus2D(6), config, seed=3)
-        reference = run_kernel(Torus2D(6), config, None, 3, backend="reference")
-        assert np.array_equal(shimmed.collision_totals, reference.collision_totals)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from repro.core import bounds
 from repro.core.encounter import collision_counts
 from repro.core.estimator import RandomWalkDensityEstimator
-from repro.core.simulation import SimulationConfig, simulate_density_estimation
+from repro.core.kernel import run_kernel
+from repro.core.simulation import SimulationConfig
 from repro.dynamics import (
     EventSchedule,
     Scenario,
@@ -102,7 +103,7 @@ class TestSimulationInvariants:
     def test_collision_totals_bounded_and_even(self, side, num_agents, rounds, seed):
         topology = Torus2D(side)
         config = SimulationConfig(num_agents=num_agents, rounds=rounds)
-        outcome = simulate_density_estimation(topology, config, seed=seed)
+        outcome = run_kernel(topology, config, None, seed=seed)
         totals = outcome.collision_totals
         assert np.all(totals >= 0)
         assert np.all(totals <= rounds * (num_agents - 1))
@@ -188,7 +189,6 @@ class TestDynamicsInvariants:
     ):
         from repro.core.simulation import SimulationConfig
         from repro.dynamics.driver import _DynamicsTracker
-        from repro.engine import simulate_density_estimation_batch
 
         scenario = _churn_scenario(rounds, num_agents, 2.0, 3.0, schedule_seed)
         sizes: list[tuple[int, ...]] = []
@@ -208,7 +208,7 @@ class TestDynamicsInvariants:
         config = SimulationConfig(
             num_agents=scenario.num_agents, rounds=scenario.rounds, round_hook=observing_hook
         )
-        result = simulate_density_estimation_batch(
+        result = run_kernel(
             Torus2D(8), config, replicates, seed=run_seed
         )
         assert len(sizes) == rounds

@@ -2,9 +2,9 @@
 
 Three contracts are pinned here:
 
-1. **Golden-fixture bit-identity** — the serial entry points (the
-   ``simulate_density_estimation`` shim, ``run_kernel(..., None, ...)``,
-   and the batched kernel at ``R = 1``) reproduce the random stream of the
+1. **Golden-fixture bit-identity** — the serial kernel
+   (``run_kernel(..., None, ...)``) and the batched kernel at ``R = 1``
+   reproduce the random stream of the
    *pre-refactor* serial loop exactly, for every catalog movement model x
    collision/noise model combination. The fixtures in
    ``tests/baselines/kernel_golden.json`` were generated from the old loop
@@ -19,14 +19,13 @@ Three contracts are pinned here:
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.kernel import BatchSimulationResult, require_batch_safe, run_kernel
-from repro.core.simulation import SimulationConfig, simulate_density_estimation
+from repro.core.simulation import SimulationConfig
 from repro.engine import ExecutionEngine
 from repro.experiments import run_experiment
 from repro.swarm.noise import NoisyCollisionModel
@@ -94,21 +93,6 @@ class TestGoldenFixtures:
         batch = run_kernel(Torus2D(GOLDEN["side"]), _config(case), 1, case["seed"])
         assert isinstance(batch, BatchSimulationResult)
         _check(batch.replicate(0), case)
-
-    def test_deprecated_wrapper_matches(self, case):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            outcome = simulate_density_estimation(
-                Torus2D(GOLDEN["side"]), _config(case), case["seed"]
-            )
-        _check(outcome, case)
-
-
-class TestDeprecationShim:
-    def test_wrapper_warns(self):
-        config = SimulationConfig(num_agents=4, rounds=2)
-        with pytest.warns(DeprecationWarning, match="run_kernel"):
-            simulate_density_estimation(Torus2D(4), config, seed=0)
 
 
 class TestCatalogBatchSafety:

@@ -10,22 +10,24 @@ The rest pins the recorder itself (counters / gauges / timers / spans /
 JSONL output / provenance) and each subsystem's probes: the kernel and
 fast path, the scheduler (per-cell latency, worker utilization — identical
 counters for any worker count), the run cache (hits / misses / corrupt
-recoveries / evictions), and the sweep runner (computed vs cached cells,
-checkpoint latency).
+recoveries / evictions), the sweep runner (computed vs cached cells,
+checkpoint latency), and the documented span tree.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import __version__
-from repro.core.kernel import run_kernel
+from repro import __version__, cli
+from repro.core.kernel import get_default_shard_workers, run_kernel, set_default_shard_workers
 from repro.core.simulation import SimulationConfig
 from repro.engine import RunCache, build_plan, execute_plan
+from repro.obs import telemetry
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     TELEMETRY_LEVELS,
@@ -37,7 +39,7 @@ from repro.obs.telemetry import (
 )
 from repro.store import ResultStore
 from repro.swarm.noise import NoisyCollisionModel
-from repro.sweeps import GridAxis, SweepSpec, TargetSpec, run_sweep_spec
+from repro.sweeps import GridAxis, SweepSpec, TargetSpec, run_sweep_spec, save_spec
 from repro.topology.torus import Torus2D
 from repro.walks.movement import (
     BiasedTorusWalk,
@@ -392,3 +394,44 @@ class TestSweepProbes:
 
         assert observability_counters(serial) == observability_counters(pooled)
         assert observability_counters(serial)["cache.hits"] >= 2
+
+
+# ---------------------------------------------------------------------------
+# The documented span tree is the one the code opens
+# ---------------------------------------------------------------------------
+def _span_tree(text: str, heading: str) -> set[str]:
+    """Span names of the tree drawn after ``heading``, one ``name  # comment`` per line."""
+    names: list[str] = []
+    for line in text[text.index(heading) :].splitlines()[1:]:
+        match = re.match(r"\s*(?:└─\s*)?(\w+)\s+#", line)
+        if match:
+            names.append(match.group(1))
+        elif names:
+            break
+    return set(names)
+
+
+class TestDocumentedSpanTree:
+    @pytest.fixture(autouse=True)
+    def _restore_shard_workers(self):
+        previous = get_default_shard_workers()
+        yield
+        set_default_shard_workers(previous)
+
+    def test_traced_runs_open_exactly_the_documented_spans(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        save_spec(_sweep_spec(), spec)
+        sweep_argv = ["sweep", "run", "--spec", str(spec), "--store", str(tmp_path / "store")]
+        assert cli.main([*sweep_argv, "--telemetry", str(tmp_path / "sweep-tel")]) == 0
+        sharded_argv = ["run", "E17", "--quick", "--shard-workers", "2"]
+        assert cli.main([*sharded_argv, "--telemetry", str(tmp_path / "shard-tel")]) == 0
+        capsys.readouterr()
+        opened = set()
+        for directory in ("sweep-tel", "shard-tel"):
+            for line in (tmp_path / directory / "events.jsonl").read_text().splitlines():
+                event = json.loads(line)["event"]
+                if event.startswith("span."):
+                    opened.add(event[len("span.") :])
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        assert _span_tree(readme, "span hierarchy nests") == opened
+        assert _span_tree(telemetry.__doc__, "Span hierarchy") == opened

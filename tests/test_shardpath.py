@@ -49,7 +49,6 @@ from repro.core.kernel import (
 )
 from repro.core.shardpath import shard_bounds
 from repro.core.simulation import SimulationConfig
-from repro.engine import simulate_density_estimation_batch
 from repro.obs.telemetry import TelemetryRecorder, use_telemetry
 from repro.swarm.noise import NoisyCollisionModel
 from repro.topology.ring import Ring
@@ -397,33 +396,11 @@ class TestShardWorkersAPI:
         with pytest.raises(ValueError, match="shard_workers"):
             run_kernel(topology, config, 4, seed=0, backend="reference", shard_workers=2)
 
-    def test_non_numpy_namespace_refuses_shards(self):
-        topology = Torus2D(8)
-        config = SimulationConfig(num_agents=9, rounds=5)
-        with pytest.raises(ValueError, match="shard_workers"):
-            run_kernel(
-                topology,
-                config,
-                4,
-                seed=0,
-                shard_workers=2,
-                array_namespace="array-api-strict",
-            )
-
     def test_invalid_shard_workers_rejected(self):
         topology = Torus2D(8)
         config = SimulationConfig(num_agents=9, rounds=5)
         with pytest.raises(ValueError):
             run_kernel(topology, config, 4, seed=0, shard_workers=0)
-
-    def test_engine_batch_forwards_shard_workers(self):
-        topology = Torus2D(8)
-        config = SimulationConfig(num_agents=9, rounds=10)
-        direct = run_kernel(topology, config, 6, seed=7, shard_workers=2)
-        via_engine = simulate_density_estimation_batch(
-            topology, config, 6, seed=7, shard_workers=2
-        )
-        assert_outcomes_equal(direct, via_engine)
 
 
 # ----------------------------------------------------------------------

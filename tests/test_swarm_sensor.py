@@ -168,6 +168,20 @@ class TestDispersion:
         positions = np.arange(torus.num_nodes)
         assert occupancy_imbalance(torus, positions, cells_per_side=4) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("side,cells", [(10, 4), (18, 4), (6, 8)])
+    def test_occupancy_imbalance_rejects_cells_that_do_not_divide_the_side(self, side, cells):
+        # One robot per node is even coverage; unequal cells used to report
+        # 0.50, 0.27 and 0.88 for these three layouts.
+        torus = Torus2D(side)
+        with pytest.raises(ValueError, match=rf"cells_per_side={cells} .* side {side}\b"):
+            occupancy_imbalance(torus, np.arange(torus.num_nodes), cells_per_side=cells)
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 4, 6, 12])
+    def test_occupancy_imbalance_zero_for_every_divisor(self, cells):
+        torus = Torus2D(12)
+        positions = np.arange(torus.num_nodes)
+        assert occupancy_imbalance(torus, positions, cells_per_side=cells) == 0.0
+
     def test_occupancy_imbalance_high_when_clustered(self):
         torus = Torus2D(16)
         positions = np.zeros(100, dtype=np.int64)
@@ -180,6 +194,16 @@ class TestDispersion:
         positions = placement(torus, 150, rng)
         result = disperse_swarm(torus, positions, epochs=6, rounds_per_epoch=15, spread_steps=15, seed=1)
         assert result.final_imbalance < result.initial_imbalance
+
+    def test_callers_positions_untouched(self):
+        # Long enough epochs that the fused loop steps through its
+        # displacement table in place.
+        torus = Torus2D(8)
+        positions = torus.uniform_nodes(40, 0)
+        before = positions.copy()
+        result = disperse_swarm(torus, positions, epochs=2, rounds_per_epoch=30, spread_steps=0, seed=3)
+        assert np.array_equal(positions, before)
+        assert not np.shares_memory(result.final_positions, positions)
 
     def test_history_length(self):
         torus = Torus2D(16)
