@@ -26,16 +26,16 @@ sensitivity. ``tests/baselines/shard_golden.json`` pins the discipline
 itself, not only its K-invariance: every ``K`` reproduces it byte for byte.
 
 **Per-row chunked draws.** Without observation noise the loop draws steps
-several rounds at a time, as the unsharded loop does, but row by row: a
-refill makes one ``topology.draw_steps_chunk(k, (n,), rng)`` call per row,
+several rounds at a time, as the unsharded loop does, but row by row: each
+cache-sized tile of a shard's rows draws for a window sized from the tile,
+one ``topology.draw_steps_chunk(k, (n,), rng)`` call per row and window,
 which the topology's stream contract makes bit-identical to ``k``
 per-round draws. A noise model reads each row's stream between two step
 draws, so noisy runs draw round by round, as the shared-stream loop does.
-The draw buffer is budgeted over the whole batch — the buffers of all
-concurrent shards together fit one unsharded ``CHUNK_BUDGET_ELEMENTS``
-chunk — and is stored in the narrowest dtype that holds a step choice:
-shard threads allocate it in their own malloc arenas, which keep memory
-after it is freed, so it is kept small rather than returned.
+Each shard's tile window fits ``CHUNK_BUDGET_ELEMENTS`` elements of the
+narrowest dtype that holds a step choice: shard threads allocate it in
+their own malloc arenas, which keep memory after it is freed, so it is
+kept small rather than returned.
 
 Consequences, stated loudly rather than discovered:
 

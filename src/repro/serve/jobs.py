@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from repro.engine import ExecutionEngine, RunCache
 from repro.obs.telemetry import get_telemetry

@@ -29,7 +29,7 @@ import pytest
 
 from repro import __version__
 from repro.cli import main
-from repro.engine import ExecutionEngine, RunCache
+from repro.engine import RunCache
 from repro.obs.telemetry import TelemetryRecorder, use_telemetry
 from repro.serve.api import ROUTES, ReproServer, serve_forever
 from repro.serve.jobs import JobManager, QueueFullError, RateLimitedError, TokenBucketLimiter
