@@ -85,17 +85,14 @@ from repro.dynamics import (
     run_scenario,
     scenario_names,
 )
+from repro.core.kernel import RunContext, use_run_context
 from repro.engine import (
     KERNEL_BACKENDS,
     BatchSimulationResult,
     ExecutionEngine,
     RunCache,
-    get_default_backend,
-    get_default_shard_workers,
     require_batch_safe,
     run_kernel,
-    set_default_backend,
-    set_default_shard_workers,
 )
 from repro.obs import (
     Telemetry,
@@ -145,10 +142,8 @@ __all__ = [
     "AccuracySummary",
     # Execution engine and the unified simulation kernel
     "KERNEL_BACKENDS",
-    "get_default_backend",
-    "set_default_backend",
-    "get_default_shard_workers",
-    "set_default_shard_workers",
+    "RunContext",
+    "use_run_context",
     "AnalyticSolution",
     "AnalyticUnsupportedError",
     "solve_analytic",

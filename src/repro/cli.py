@@ -43,14 +43,16 @@ wall-clock and is excluded from cache keys. ``analytic`` is different: it
 instead of sampling it, so its records differ from simulation, it is
 folded into cache keys, and it fails with a clean error on workloads
 outside its solvable regime (noise models, dynamic scenarios, irregular
-topologies). The chosen backend is forwarded to ``--workers`` subprocesses.
+topologies).
 ``--shard-workers K`` turns on intra-kernel sharding: each batched
 ``(R, n)`` kernel call splits into ``K`` contiguous replicate-row shards
 on a thread pool (:mod:`repro.core.shardpath`). Results are bit-identical
 for every ``K`` — rows are seeded from per-replicate SeedSequence
 children — but differ from unsharded runs (a different RNG discipline),
 so the *sharded* discipline joins the cache key while ``K`` itself does
-not. Forwarded to ``--workers`` subprocesses like the backend.
+not. Both flags build one :class:`~repro.core.kernel.RunContext` that
+:func:`main` installs for the one command it runs; ``--workers``
+subprocesses and the ``serve`` job manager receive it explicitly.
 ``--cache-dir`` points at a content-addressed run store
 (:class:`repro.engine.RunCache`): a completed (experiment, config, seed)
 setting is loaded from disk instead of re-simulated. Sweeps checkpoint
@@ -78,13 +80,8 @@ from typing import Sequence
 from repro import __version__
 from repro.analysis.aggregate import aggregate_stream, parse_metric
 from repro.dynamics.scenario import SCENARIOS, scenario_names
-from repro.engine import (
-    KERNEL_BACKENDS,
-    ExecutionEngine,
-    RunCache,
-    set_default_backend,
-    set_default_shard_workers,
-)
+from repro.core.kernel import RunContext, current_run_context, use_run_context
+from repro.engine import KERNEL_BACKENDS, ExecutionEngine, RunCache
 from repro.experiments import EXPERIMENTS
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import generate_report
@@ -460,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="content-addressed run cache; completed settings are loaded, not re-run",
         )
-    for sub in sweep_common[:2] + [run_parser, report_parser, scenario_run, serve_parser]:
+    for sub in sweep_common + [run_parser, report_parser, scenario_run, serve_parser]:
         sub.add_argument(
             "--backend",
             default=None,
@@ -751,10 +748,9 @@ def _command_sweep_run(args, *, resume: bool) -> int:
         )
         print(f"store: {store.directory} ({summary['rows']} rows in {len(store.segments())} segments)")
         if summary["pending"]:
-            shard_flag = f" --shard {args.shard}" if args.shard is not None else ""
-            print(
-                f"resume with: repro sweep resume --spec {args.spec} --store {args.store}{shard_flag}"
-            )
+            flags = [("--shard", args.shard), ("--backend", args.backend), ("--shard-workers", args.shard_workers)]
+            hint = "".join(f" {flag} {value}" for flag, value in flags if value is not None)
+            print(f"resume with: repro sweep resume --spec {args.spec} --store {args.store}{hint}")
     return 0 if outcome.complete else 3
 
 
@@ -944,6 +940,7 @@ def _command_serve(args) -> int:
         queue_depth=args.queue_depth,
         rate=args.rate,
         burst=args.burst,
+        context=current_run_context(),
     )
     try:
         server = ReproServer((args.host, args.port), manager)
@@ -1072,23 +1069,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by ``python -m repro``."""
     args = _build_parser().parse_args(argv)
     _configure_logging(args.verbose, args.quiet)
-    if getattr(args, "backend", None) is not None:
-        # Set process-wide rather than threading it through every experiment
-        # signature. For the bit-identical simulating backends this is purely
-        # a performance switch; "analytic" also changes what run_kernel
-        # returns (expectations, not samples), which the cache key accounts
-        # for (see Submission.cache_key).
-        set_default_backend(args.backend)
-    if getattr(args, "shard_workers", None) is not None:
-        # Same process-wide pattern. Sharding changes the RNG discipline
-        # (per-replicate SeedSequence children; identical for every K), so
-        # the cache key folds the discipline in — not the K, which cannot
-        # change records.
-        set_default_shard_workers(args.shard_workers)
-
+    # The run settings live for this one dispatch, not for the process: an
+    # in-process caller's next run_kernel call sees its own context again.
+    context = RunContext(
+        backend=getattr(args, "backend", None) or "auto",
+        shard_workers=getattr(args, "shard_workers", None),
+    )
     telemetry_dir = getattr(args, "telemetry", None)
     if telemetry_dir is None:
-        return _dispatch(args)
+        with use_run_context(context):
+            return _dispatch(args)
 
     # Telemetry is observation-only: the recorder wraps the whole dispatch
     # in one "run" span, and every probe in kernel/scheduler/cache/sweeps
@@ -1101,7 +1091,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     previous = set_telemetry(recorder)
     try:
-        with recorder.span("run", command=command):
+        with use_run_context(context), recorder.span("run", command=command):
             exit_code = _dispatch(args)
         recorder.gauge("run.exit_code", exit_code)
         return exit_code

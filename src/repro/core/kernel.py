@@ -53,15 +53,20 @@ The loop body itself exists in two interchangeable **backends**:
   valid on the solvable combos; everything else raises
   :class:`~repro.core.analytic.AnalyticUnsupportedError`.
 
-``backend=None`` resolves to the process-wide default
-(:func:`get_default_backend`, settable via :func:`set_default_backend` or
-the CLI's ``--backend`` flag).
+``backend=None`` and ``shard_workers=None`` resolve to the current
+:class:`RunContext`, which the CLI builds from ``--backend`` and
+``--shard-workers`` and installs with :func:`use_run_context`. The context
+lives in a :class:`contextvars.ContextVar`, so it is scoped to one thread's
+call stack: whoever crosses a thread or process boundary (the scheduler's
+worker processes, the serve daemon's job threads) passes it explicitly.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
@@ -80,28 +85,6 @@ from repro.utils.validation import require_integer
 #: The selectable kernel backends; see the module docstring.
 KERNEL_BACKENDS = ("auto", "reference", "fused", "analytic")
 
-_default_backend = "auto"
-
-
-def set_default_backend(backend: str) -> None:
-    """Set the process-wide kernel backend used when ``backend=None``.
-
-    Accepts one of :data:`KERNEL_BACKENDS`. The simulating backends
-    (``auto``/``reference``/``fused``) are bit-identical, so for them the
-    setting only changes wall-clock and the run cache ignores it. The
-    ``analytic`` backend *does* change records (it returns expectations,
-    not samples), so the serve/CLI cache key folds it in when it is the
-    process default, and the scheduler forwards the default into its
-    worker processes so ``--workers N`` stays consistent with serial.
-    """
-    global _default_backend
-    _default_backend = _validated_backend(backend)
-
-
-def get_default_backend() -> str:
-    """The process-wide kernel backend used when ``backend=None``."""
-    return _default_backend
-
 
 def _validated_backend(backend: str) -> str:
     if backend not in KERNEL_BACKENDS:
@@ -111,29 +94,60 @@ def _validated_backend(backend: str) -> str:
     return backend
 
 
-_default_shard_workers: Optional[int] = None
+@dataclass(frozen=True)
+class RunContext:
+    """The run settings :func:`run_kernel` reads when its arguments are ``None``.
 
-
-def set_default_shard_workers(shard_workers: Optional[int]) -> None:
-    """Set the process-wide ``shard_workers`` used when the argument is ``None``.
-
-    ``None`` (the initial default) disables intra-kernel sharding.
-    Sharding changes the RNG discipline from one shared stream to
-    per-replicate SeedSequence children (see :mod:`repro.core.shardpath`),
-    so results are invariant to the *count* but differ from unsharded
-    runs — the serve/CLI cache key folds the sharded discipline in when
-    this default is set, and the scheduler forwards it into worker
-    processes so ``--workers N`` stays consistent with serial.
+    Attributes
+    ----------
+    backend:
+        One of :data:`KERNEL_BACKENDS` (default ``"auto"``).
+    shard_workers:
+        ``None`` (default) keeps the single-threaded kernel; an integer
+        ``K >= 1`` shards batched fused calls (:mod:`repro.core.shardpath`).
     """
-    global _default_shard_workers
-    if shard_workers is not None:
-        require_integer(shard_workers, "shard_workers", minimum=1)
-    _default_shard_workers = shard_workers
+
+    backend: str = "auto"
+    shard_workers: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        _validated_backend(self.backend)
+        if self.shard_workers is not None:
+            require_integer(self.shard_workers, "shard_workers", minimum=1)
+
+    def key_fields(self) -> dict[str, str]:
+        """The cache-key fields of the settings that change records.
+
+        The one rule every cache key folds in. The simulating backends are
+        bit-identical, so they add nothing. ``analytic`` returns the law of
+        the process instead of a draw (and ignores sharding), and a sharded
+        run seeds each replicate row from its own SeedSequence child instead
+        of one shared stream; the shard *count* never changes records. The
+        default context adds nothing, so default keys stay stable.
+        """
+        if self.backend == "analytic":
+            return {"backend": "analytic"}
+        if self.shard_workers is not None:
+            return {"rng_discipline": "sharded"}
+        return {}
 
 
-def get_default_shard_workers() -> Optional[int]:
-    """The process-wide ``shard_workers`` used when the argument is ``None``."""
-    return _default_shard_workers
+_RUN_CONTEXT: ContextVar[RunContext] = ContextVar("repro_run_context", default=RunContext())
+
+
+def current_run_context() -> RunContext:
+    """The :class:`RunContext` installed in this thread's call stack."""
+    return _RUN_CONTEXT.get()
+
+
+@contextmanager
+def use_run_context(context: RunContext) -> Iterator[RunContext]:
+    """Install ``context`` for the duration of a ``with`` block."""
+    token = _RUN_CONTEXT.set(context)
+    try:
+        yield context
+    finally:
+        _RUN_CONTEXT.reset(token)
 
 
 def require_batch_safe(model: Any, role: str = "model") -> None:
@@ -341,16 +355,16 @@ def run_kernel(
         property assignment, and observation noise).
     backend:
         ``"reference"``, ``"fused"``, ``"auto"``, or ``"analytic"``;
-        ``None`` (the default) resolves to the process-wide default
-        (normally ``"auto"``). The simulating backends are bit-identical —
-        the choice only affects wall-clock. ``"analytic"`` instead *solves*
+        ``None`` (the default) resolves to the current :class:`RunContext`'s
+        backend (normally ``"auto"``). The simulating backends are
+        bit-identical — the choice only affects wall-clock. ``"analytic"`` instead *solves*
         the process (:mod:`repro.core.analytic`): deterministic expectation
         containers, ``O(1)`` in ``replicates``, equivalent to the
         simulating backends only in distribution (tolerance-based checks,
         never ``cmp``).
     shard_workers:
-        ``None`` (default; falls back to the process-wide default, see
-        :func:`set_default_shard_workers`) keeps the single-threaded
+        ``None`` (default; falls back to the current
+        :class:`RunContext`'s ``shard_workers``) keeps the single-threaded
         kernel. An integer ``K >= 1`` runs batched fused calls as
         ``min(K, R)`` contiguous replicate-row shards on a pool
         (:mod:`repro.core.shardpath`): results are **bit-identical for
@@ -367,8 +381,9 @@ def run_kernel(
         ``(R, n)`` container.
     """
     serial = replicates is None
-    resolved = _validated_backend(backend if backend is not None else _default_backend)
-    shards = shard_workers if shard_workers is not None else _default_shard_workers
+    context = _RUN_CONTEXT.get()
+    resolved = context.backend if backend is None else _validated_backend(backend)
+    shards = context.shard_workers if shard_workers is None else shard_workers
     if shards is not None:
         require_integer(shards, "shard_workers", minimum=1)
         if resolved == "reference":
@@ -547,10 +562,9 @@ def run_kernel(
 __all__ = [
     "BatchSimulationResult",
     "KERNEL_BACKENDS",
-    "get_default_backend",
-    "get_default_shard_workers",
+    "RunContext",
+    "current_run_context",
     "require_batch_safe",
     "run_kernel",
-    "set_default_backend",
-    "set_default_shard_workers",
+    "use_run_context",
 ]

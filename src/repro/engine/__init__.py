@@ -28,12 +28,8 @@ and reproducibly:
 from repro.core.kernel import (
     KERNEL_BACKENDS,
     BatchSimulationResult,
-    get_default_backend,
-    get_default_shard_workers,
     require_batch_safe,
     run_kernel,
-    set_default_backend,
-    set_default_shard_workers,
 )
 from repro.engine.cache import RunCache, cache_key
 from repro.engine.scheduler import (
@@ -53,11 +49,7 @@ __all__ = [
     "build_plan",
     "cache_key",
     "execute_plan",
-    "get_default_backend",
-    "get_default_shard_workers",
     "iter_execute_plan",
     "require_batch_safe",
     "run_kernel",
-    "set_default_backend",
-    "set_default_shard_workers",
 ]

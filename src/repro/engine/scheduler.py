@@ -33,9 +33,10 @@ import numpy as np
 
 from repro.core.kernel import (
     BatchSimulationResult,
-    get_default_backend,
-    get_default_shard_workers,
+    RunContext,
+    current_run_context,
     run_kernel,
+    use_run_context,
 )
 from repro.core.simulation import SimulationConfig
 from repro.obs.telemetry import get_telemetry
@@ -155,9 +156,8 @@ def _run_chunk(
     task: TaskFn,
     settings: Sequence[Mapping[str, Any]],
     seed_sequences: Sequence[np.random.SeedSequence],
-    timed: bool = False,
-    backend: str | None = None,
-    shard_workers: int | None = None,
+    timed: bool,
+    context: RunContext,
 ) -> tuple[list[Any], list[float] | None]:
     """Execute one contiguous chunk of a plan (runs inside a worker process).
 
@@ -167,35 +167,25 @@ def _run_chunk(
     what keeps telemetry parent-side and counters identical across worker
     counts.
 
-    The parent's default kernel backend rides along as ``backend`` and is
-    installed before any cell runs: for the bit-identical simulating
-    backends this is invisible, but ``--backend analytic`` changes records,
-    so a worker falling back to its own default would silently diverge
-    from the serial path (spawn-based start methods don't inherit module
-    state). The default ``shard_workers`` rides along for the same reason:
-    sharded runs use the per-replicate RNG discipline, so a worker
-    ignoring the parent's setting would change records.
+    The cells run under the parent's :class:`~repro.core.kernel.RunContext`,
+    passed as ``context``: a worker process does not share the parent's
+    context, and ``--backend analytic`` or ``--shard-workers`` change
+    records, so cells run under a worker's own default would diverge from
+    the serial path. The caller's context is restored on return.
     """
-    if backend is not None:
-        from repro.core.kernel import set_default_backend
-
-        set_default_backend(backend)
-    if shard_workers is not None:
-        from repro.core.kernel import set_default_shard_workers
-
-        set_default_shard_workers(shard_workers)
-    if not timed:
-        return [
-            task(**setting, rng=np.random.default_rng(sequence))
-            for setting, sequence in zip(settings, seed_sequences)
-        ], None
-    results: list[Any] = []
-    durations: list[float] = []
-    for setting, sequence in zip(settings, seed_sequences):
-        start = time.perf_counter()
-        results.append(task(**setting, rng=np.random.default_rng(sequence)))
-        durations.append(time.perf_counter() - start)
-    return results, durations
+    with use_run_context(context):
+        if not timed:
+            return [
+                task(**setting, rng=np.random.default_rng(sequence))
+                for setting, sequence in zip(settings, seed_sequences)
+            ], None
+        results: list[Any] = []
+        durations: list[float] = []
+        for setting, sequence in zip(settings, seed_sequences):
+            start = time.perf_counter()
+            results.append(task(**setting, rng=np.random.default_rng(sequence)))
+            durations.append(time.perf_counter() - start)
+        return results, durations
 
 
 def _chunk_bounds(total: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -300,8 +290,7 @@ def iter_execute_plan(
                     plan.settings[lo:hi],
                     plan.seed_sequences[lo:hi],
                     timed,
-                    get_default_backend(),
-                    get_default_shard_workers(),
+                    current_run_context(),
                 ): (lo, hi)
                 for lo, hi in bounds
             }

@@ -39,6 +39,7 @@ import time
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.core.kernel import RunContext, use_run_context
 from repro.engine import ExecutionEngine, RunCache
 from repro.obs.telemetry import get_telemetry
 from repro.serve.stream import RoundBroadcaster
@@ -162,6 +163,10 @@ class JobManager:
     rate / burst:
         Per-client token bucket (submissions/second, bucket size).
         ``rate=None`` disables rate limiting.
+    context:
+        The :class:`~repro.core.kernel.RunContext` every job of this manager
+        runs under and keys its cache entries by. Each manager owns its
+        own, so two managers in one process can run different backends.
 
     The manager starts idle: call :meth:`start` to launch the workers.
     (Tests exploit this — submit N identical jobs *before* starting the
@@ -177,6 +182,7 @@ class JobManager:
         queue_depth: int = 64,
         rate: float | None = None,
         burst: int = 10,
+        context: RunContext = RunContext(),
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -187,6 +193,7 @@ class JobManager:
         self.workers = workers
         self.queue_depth = queue_depth
         self.limiter = TokenBucketLimiter(rate, burst)
+        self.context = context
         self.engine = ExecutionEngine(workers=1)  # in-process: on_round hooks work
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []
@@ -223,7 +230,7 @@ class JobManager:
             self._counter += 1
             job = Job(f"job-{self._counter:06d}", submission, client=client)
             if self.cache is not None:
-                job.key = submission.cache_key(self.cache)
+                job.key = submission.cache_key(self.cache, self.context)
             self._jobs[job.id] = job
             self._order.append(job.id)
             self._queue.append(job.id)
@@ -345,13 +352,14 @@ class JobManager:
         if self.jobs_dir is not None:
             workdir = self.jobs_dir / f"{job.id}-work"
         try:
-            payload, status = run_submission(
-                job.submission,
-                cache=self.cache,
-                engine=self.engine,
-                workdir=workdir,
-                on_round=job.broadcaster.publish,
-            )
+            with use_run_context(self.context):
+                payload, status = run_submission(
+                    job.submission,
+                    cache=self.cache,
+                    engine=self.engine,
+                    workdir=workdir,
+                    on_round=job.broadcaster.publish,
+                )
         except Exception as error:
             job.status = "failed"
             job.error = f"{type(error).__name__}: {error}"

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro import __version__
+from repro.core.kernel import RunContext, current_run_context
 from repro.dynamics.driver import RoundListener, run_scenario
 from repro.dynamics.scenario import SCENARIOS, Scenario, build_scenario, scenario_names
 from repro.engine import ExecutionEngine, RunCache
@@ -193,29 +194,18 @@ class Submission:
     # ------------------------------------------------------------------
     # Content identity
     # ------------------------------------------------------------------
-    def cache_key(self, cache: RunCache) -> str:
+    def cache_key(self, cache: RunCache, context: RunContext | None = None) -> str:
         """The submission's content key — the CLI's definitions, verbatim.
 
-        Worker counts, telemetry, and the *simulating* backends are
-        deliberately excluded: they never change records, only wall-clock.
-        Two exceptions fold in: ``analytic`` — it returns expectations
-        instead of samples, so when it is the process default it joins the
-        key (``backend="analytic"``); and intra-kernel sharding — a
-        sharded run seeds each replicate row from its own SeedSequence
-        child instead of one shared stream, so its records differ from
-        unsharded ones. The shard *count* is deliberately not in the key:
-        results are bit-identical for every ``shard_workers=K``, so only
-        the discipline switch matters. Simulating unsharded runs keep
-        their historical keys. The package version is folded in so
+        Worker counts and telemetry are deliberately excluded: they never
+        change records, only wall-clock. The run settings that do change
+        records fold in through :meth:`RunContext.key_fields` of
+        ``context`` (default: the current one), the same rule the sweep-cell
+        keys use; the default context adds nothing, so simulating unsharded
+        runs keep their historical keys. The package version is folded in so
         upgrades whose code changes could alter records miss.
         """
-        from repro.core.kernel import get_default_backend, get_default_shard_workers
-
-        extra: dict[str, Any] = {}
-        if get_default_backend() == "analytic":
-            extra["backend"] = "analytic"
-        if get_default_shard_workers() is not None:
-            extra["rng_discipline"] = "sharded"
+        extra = (context or current_run_context()).key_fields()
         if self.kind == "experiment":
             return cache.key(
                 kind="experiment",

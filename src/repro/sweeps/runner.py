@@ -34,6 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro import __version__
+from repro.core.kernel import current_run_context
 from repro.engine.cache import RunCache, cache_key
 from repro.engine.scheduler import ExecutionPlan, iter_execute_plan
 from repro.obs.telemetry import get_telemetry
@@ -72,8 +73,10 @@ class SweepCell:
     """One compiled invocation: a target plus its fully-resolved parameters.
 
     ``key`` is the cell's content identity — schema, package version, sweep
-    name and seed, cell index, target, and parameters — so the run cache
-    automatically misses when any of them changes and hits otherwise.
+    name and seed, cell index, target, parameters, and the current
+    :meth:`RunContext.key_fields <repro.core.kernel.RunContext.key_fields>`
+    — so the run cache automatically misses when any of them changes and
+    hits otherwise.
     """
 
     index: int
@@ -136,6 +139,7 @@ def compile_cells(spec: SweepSpec) -> list[SweepCell]:
     target sees the same sampled points), target-level axes per target —
     and never from the streams the cells simulate with.
     """
+    context_fields = current_run_context().key_fields()
     shared_points = expand_axes(spec.axes, seed=axis_seed(spec.seed))
     cells: list[SweepCell] = []
     for target_index, target in enumerate(spec.targets):
@@ -158,6 +162,7 @@ def compile_cells(spec: SweepSpec) -> list[SweepCell]:
                     target_kind=target.kind,
                     target=name,
                     params=_canonical_params(params),
+                    **context_fields,
                 )
                 cells.append(
                     SweepCell(

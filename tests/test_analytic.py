@@ -29,9 +29,10 @@ from repro.core.analytic import (
 )
 from repro.core.kernel import (
     KERNEL_BACKENDS,
-    get_default_backend,
+    RunContext,
+    current_run_context,
     run_kernel,
-    set_default_backend,
+    use_run_context,
 )
 from repro.core.simulation import SimulationConfig, SimulationResult
 from repro.engine import ExecutionEngine, RunCache
@@ -42,13 +43,6 @@ from repro.topology.hypercube import Hypercube
 from repro.topology.ring import Ring
 from repro.topology.torus import Torus2D
 from repro.topology.torus_kd import TorusKD
-
-
-@pytest.fixture
-def restore_default_backend():
-    previous = get_default_backend()
-    yield
-    set_default_backend(previous)
 
 
 class TestMeetingProbabilities:
@@ -210,9 +204,9 @@ class TestKernelDispatch:
         )
         assert isinstance(outcome, AnalyticBatchResult)
 
-    def test_default_backend_resolution(self, restore_default_backend):
-        set_default_backend("analytic")
-        outcome = run_kernel(Torus2D(10), SimulationConfig(num_agents=8, rounds=12), 5, 3)
+    def test_context_backend_resolution(self):
+        with use_run_context(RunContext("analytic")):
+            outcome = run_kernel(Torus2D(10), SimulationConfig(num_agents=8, rounds=12), 5, 3)
         assert isinstance(outcome, AnalyticBatchResult)
 
     def test_serial_mode_dispatches_too(self):
@@ -221,61 +215,63 @@ class TestKernelDispatch:
         )
         assert isinstance(outcome, AnalyticSimulationResult)
 
-    def test_engine_run_replicates_under_analytic_default(self, restore_default_backend):
-        set_default_backend("analytic")
-        batch = ExecutionEngine().run_replicates(
-            Torus2D(10), SimulationConfig(num_agents=8, rounds=12), 4, 0
-        )
+    def test_engine_run_replicates_under_analytic_context(self):
+        with use_run_context(RunContext("analytic")):
+            batch = ExecutionEngine().run_replicates(
+                Torus2D(10), SimulationConfig(num_agents=8, rounds=12), 4, 0
+            )
         assert batch.metadata["backend"] == "analytic"
 
 
-class TestSchedulerForwardsBackend:
-    def test_run_chunk_installs_parent_backend(self, restore_default_backend):
-        # _run_chunk runs inside worker processes; calling it in-process with
-        # an explicit backend must install that backend before any cell runs
-        # (spawn-based pools do not inherit parent module state).
-        set_default_backend("auto")
+class TestSchedulerForwardsContext:
+    def test_run_chunk_runs_cells_under_its_context(self):
+        # _run_chunk runs inside worker processes, which do not share the
+        # parent's context: it must run its cells under the context it is
+        # passed, and hand the caller's own context back on return.
         results, _ = _run_chunk(
-            _report_backend, [{}], [np.random.SeedSequence(0)], False, "analytic"
+            _report_backend, [{}], [np.random.SeedSequence(0)], False, RunContext("analytic")
         )
         assert results == ["analytic"]
-        assert get_default_backend() == "analytic"
+        assert current_run_context() == RunContext()
 
-    def test_worker_pool_runs_cells_under_analytic(self, restore_default_backend):
-        set_default_backend("analytic")
-        backends = ExecutionEngine(workers=2).map(_report_backend, [{} for _ in range(4)], 0)
+    def test_worker_pool_runs_cells_under_analytic(self):
+        with use_run_context(RunContext("analytic")):
+            backends = ExecutionEngine(workers=2).map(_report_backend, [{} for _ in range(4)], 0)
         assert backends == ["analytic"] * 4
 
 
 def _report_backend(rng):
     """Module-level (picklable) scheduler task echoing the worker's backend."""
     del rng
-    return get_default_backend()
+    return current_run_context().backend
 
 
 class TestCacheKeyFoldsAnalytic:
-    def test_key_changes_only_under_analytic_default(
-        self, tmp_path, restore_default_backend
-    ):
+    def test_key_changes_only_under_analytic_context(self, tmp_path):
         cache = RunCache(tmp_path)
         submission = Submission(kind="experiment", name="E01", seed=0, quick=True)
-        set_default_backend("auto")
         auto_key = submission.cache_key(cache)
-        set_default_backend("fused")
-        assert submission.cache_key(cache) == auto_key  # bit-identical backends share keys
-        set_default_backend("analytic")
-        assert submission.cache_key(cache) != auto_key  # analytic changes records
+        for backend in KERNEL_BACKENDS:
+            key = submission.cache_key(cache, RunContext(backend))
+            # The simulating backends are bit-identical and share keys;
+            # analytic changes records, so it gets its own.
+            assert (key == auto_key) == (backend != "analytic")
+            with use_run_context(RunContext(backend)):
+                assert submission.cache_key(cache) == key  # context=None reads the current one
+        # analytic ignores sharding, so the shard setting cannot split its key.
+        analytic_key = submission.cache_key(cache, RunContext("analytic"))
+        assert submission.cache_key(cache, RunContext("analytic", shard_workers=2)) == analytic_key
 
 
 class TestAnalyticCli:
-    def test_run_e01_quick_analytic(self, capsys, restore_default_backend):
+    def test_run_e01_quick_analytic(self, capsys):
         assert main(["run", "E01", "--quick", "--json", "--backend", "analytic"]) == 0
         payload = json.loads(capsys.readouterr().out)
         density = (104 - 1) / 32**2
         for record in payload["records"]:
             assert record["mean_estimate"] == pytest.approx(density, abs=1e-12)
 
-    def test_run_e17_quick_analytic_zero_bias(self, capsys, restore_default_backend):
+    def test_run_e17_quick_analytic_zero_bias(self, capsys):
         assert main(["run", "E17", "--quick", "--json", "--backend", "analytic"]) == 0
         payload = json.loads(capsys.readouterr().out)
         for record in payload["records"]:

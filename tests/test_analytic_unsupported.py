@@ -25,7 +25,7 @@ from repro.core.analytic import (
     solve,
     transition_matrix,
 )
-from repro.core.kernel import get_default_backend, run_kernel, set_default_backend
+from repro.core.kernel import run_kernel
 from repro.core.simulation import SimulationConfig
 from repro.swarm.noise import NoisyCollisionModel
 from repro.topology.bounded_grid import BoundedGrid
@@ -42,15 +42,6 @@ from repro.walks.movement import (
 
 CONFIG = SimulationConfig(num_agents=8, rounds=10)
 TORUS = Torus2D(8)
-
-
-@pytest.fixture(autouse=True)
-def restore_default_backend():
-    # The CLI paths under test install --backend analytic as the process
-    # default; without this, the leaked default breaks later test modules.
-    previous = get_default_backend()
-    yield
-    set_default_backend(previous)
 
 
 def _uniform_placement(topology, count, rng):

@@ -5,12 +5,15 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.kernel import BatchSimulationResult, RunContext, current_run_context, run_kernel
+from repro.core.simulation import SimulationConfig
 from repro.experiments import run_experiment
 from repro.experiments.report import (
     generate_report,
     records_to_markdown_table,
     result_to_markdown,
 )
+from repro.topology.torus import Torus2D
 
 
 class TestMarkdownRendering:
@@ -71,18 +74,20 @@ class TestCli:
 
     def test_run_backend_flag_is_bit_identical(self, capsys):
         """--backend only changes wall-clock: records match across backends."""
-        from repro.core.kernel import get_default_backend, set_default_backend
+        outputs = {}
+        for backend in ("reference", "fused", "auto"):
+            assert main(["run", "E17", "--quick", "--json", "--backend", backend]) == 0
+            outputs[backend] = capsys.readouterr().out
+        assert outputs["reference"] == outputs["fused"] == outputs["auto"]
 
-        previous = get_default_backend()
-        try:
-            outputs = {}
-            for backend in ("reference", "fused", "auto"):
-                assert main(["run", "E17", "--quick", "--json", "--backend", backend]) == 0
-                outputs[backend] = capsys.readouterr().out
-                assert get_default_backend() == backend
-            assert outputs["reference"] == outputs["fused"] == outputs["auto"]
-        finally:
-            set_default_backend(previous)
+    def test_run_context_flags_do_not_outlive_main(self, capsys):
+        argv = ["run", "E01", "--quick", "--json", "--backend", "analytic", "--shard-workers", "2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert current_run_context() == RunContext()
+        # A later in-process kernel call simulates again.
+        outcome = run_kernel(Torus2D(8), SimulationConfig(num_agents=4, rounds=3), 2, 0)
+        assert type(outcome) is BatchSimulationResult
 
     def test_run_rejects_unknown_backend(self, capsys):
         with pytest.raises(SystemExit):

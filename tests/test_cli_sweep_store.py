@@ -11,6 +11,15 @@ from repro.store import ResultStore
 from repro.sweeps import GridAxis, SweepSpec, TargetSpec, save_spec
 
 
+def _files(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
 @pytest.fixture
 def spec_path(tmp_path):
     spec = SweepSpec(
@@ -211,14 +220,7 @@ class TestShardAndMergeCLI:
         )
         assert "3 segment(s) copied" in capsys.readouterr().out
 
-        def files(root):
-            return {
-                str(path.relative_to(root)): path.read_bytes()
-                for path in root.rglob("*")
-                if path.is_file()
-            }
-
-        assert files(tmp_path / "merged") == files(unsharded)
+        assert _files(tmp_path / "merged") == _files(unsharded)
         # The merged store feeds the streaming aggregate path directly.
         assert (
             main(["store", "query", "--store", str(tmp_path / "merged"),
@@ -279,6 +281,45 @@ class TestShardAndMergeCLI:
                   "--into", str(tmp_path / "merged")]) == 2
         )
         assert "error:" in capsys.readouterr().err
+
+
+class TestSweepRunContext:
+    """Cell keys fold the run context, so cells cached under one backend or
+    RNG discipline are never served to a run under another."""
+
+    @pytest.fixture
+    def one_cell_spec(self, tmp_path):
+        spec = SweepSpec(
+            name="context-sweep",
+            seed=0,
+            targets=(TargetSpec(kind="experiment", name="E01", base={"quick": True}),),
+        )
+        path = tmp_path / "one-cell.json"
+        save_spec(spec, path)
+        return str(path)
+
+    @pytest.mark.parametrize("flags", [["--backend", "analytic"], ["--shard-workers", "2"]])
+    def test_cached_cells_do_not_cross_contexts(self, one_cell_spec, tmp_path, capsys, flags):
+        shared = str(tmp_path / "shared-cache")
+
+        def sweep(command, store, cache, *extra):
+            argv = ["sweep", command, "--spec", one_cell_spec, "--store", str(tmp_path / store)]
+            assert main([*argv, "--cache-dir", cache, "--json", *extra]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        assert sweep("run", "a", shared, *flags)["computed"] == 1
+        assert sweep("status", "a", shared, *flags)["cached"] == 1
+        assert sweep("status", "a", shared)["cached"] == 0
+        summary = sweep("run", "b", shared)
+        assert summary["computed"] == 1 and summary["cached"] == 0
+        sweep("run", "fresh", str(tmp_path / "fresh-cache"))
+
+        assert _files(tmp_path / "b") == _files(tmp_path / "fresh")
+
+    def test_resume_hint_carries_the_run_flags(self, spec_path, tmp_path, capsys):
+        argv = ["sweep", "run", "--spec", spec_path, "--store", str(tmp_path / "s"), "--max-cells", "1"]
+        assert main([*argv, "--backend", "fused", "--shard-workers", "2"]) == 3
+        assert "--backend fused --shard-workers 2" in capsys.readouterr().out
 
 
 class TestReportFromStore:

@@ -41,9 +41,10 @@ from repro.core.encounter import (
 from repro.core.fastpath import build_step_table, run_fused
 from repro.core.kernel import (
     KERNEL_BACKENDS,
-    get_default_backend,
+    RunContext,
+    current_run_context,
     run_kernel,
-    set_default_backend,
+    use_run_context,
 )
 from repro.core.simulation import SimulationConfig
 from repro.swarm.noise import NoisyCollisionModel
@@ -423,31 +424,27 @@ class TestTableBudget:
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture
-def restore_default_backend():
-    previous = get_default_backend()
-    yield
-    set_default_backend(previous)
-
-
 class TestBackendAPI:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             run_kernel(Torus2D(5), SimulationConfig(num_agents=3, rounds=2), None, 0, backend="turbo")
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_default_backend("turbo")
+            RunContext("turbo")
 
-    def test_default_backend_roundtrip(self, restore_default_backend):
-        assert get_default_backend() == "auto"
-        set_default_backend("reference")
-        assert get_default_backend() == "reference"
+    def test_default_backend_is_auto(self):
+        assert RunContext().backend == "auto"
+        assert current_run_context() == RunContext()
 
-    def test_none_resolves_to_process_default(self, restore_default_backend):
-        # With the default forced to "reference", backend=None must not
-        # take the fused path: make fused unreachable and check no crash.
-        set_default_backend("reference")
+    def test_none_resolves_to_installed_context(self, monkeypatch):
+        # Under a "reference" context, backend=None must not take the fused
+        # path: make fused unreachable and compare with the explicit call.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("backend=None took the fused path")
+
+        monkeypatch.setattr(fastpath, "run_fused", unreachable)
         config = SimulationConfig(num_agents=6, rounds=3)
-        outcome = run_kernel(Torus2D(6), config, None, 2)
+        with use_run_context(RunContext("reference")):
+            outcome = run_kernel(Torus2D(6), config, None, 2)
         explicit = run_kernel(Torus2D(6), config, None, 2, backend="reference")
         assert np.array_equal(outcome.collision_totals, explicit.collision_totals)
 
@@ -455,7 +452,6 @@ class TestBackendAPI:
         import repro.engine as engine
 
         assert engine.KERNEL_BACKENDS == KERNEL_BACKENDS
-        assert engine.set_default_backend is set_default_backend
 
     def test_run_fused_importable_and_direct(self):
         config = SimulationConfig(num_agents=6, rounds=3)

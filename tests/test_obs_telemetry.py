@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import __version__, cli
-from repro.core.kernel import get_default_shard_workers, run_kernel, set_default_shard_workers
+from repro.core.kernel import run_kernel
 from repro.core.simulation import SimulationConfig
 from repro.engine import RunCache, build_plan, execute_plan
 from repro.obs import telemetry
@@ -412,12 +412,6 @@ def _span_tree(text: str, heading: str) -> set[str]:
 
 
 class TestDocumentedSpanTree:
-    @pytest.fixture(autouse=True)
-    def _restore_shard_workers(self):
-        previous = get_default_shard_workers()
-        yield
-        set_default_shard_workers(previous)
-
     def test_traced_runs_open_exactly_the_documented_spans(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         save_spec(_sweep_spec(), spec)

@@ -29,6 +29,7 @@ import pytest
 
 from repro import __version__
 from repro.cli import main
+from repro.core.kernel import RunContext, use_run_context
 from repro.engine import RunCache
 from repro.obs.telemetry import TelemetryRecorder, use_telemetry
 from repro.serve.api import ROUTES, ReproServer, serve_forever
@@ -138,21 +139,18 @@ class TestSubmission:
         """Sharded runs reseed per replicate row, so records differ from the
         unsharded stream — the discipline joins the key. The shard *count*
         stays out: results are bit-identical for every K."""
-        from repro.core.kernel import get_default_shard_workers, set_default_shard_workers
-
         cache = RunCache(tmp_path)
         submission = Submission(kind="experiment", name="E01", quick=True)
-        previous = get_default_shard_workers()
-        try:
-            set_default_shard_workers(None)
-            unsharded_key = submission.cache_key(cache)
-            set_default_shard_workers(2)
-            sharded_key = submission.cache_key(cache)
-            assert sharded_key != unsharded_key
-            set_default_shard_workers(7)
-            assert submission.cache_key(cache) == sharded_key
-        finally:
-            set_default_shard_workers(previous)
+        unsharded_key = submission.cache_key(cache, RunContext())
+        keys = {
+            shards: submission.cache_key(cache, RunContext(shard_workers=shards))
+            for shards in (1, 2, 7)
+        }
+        assert len(set(keys.values())) == 1
+        assert keys[2] != unsharded_key
+        for shards, key in keys.items():
+            with use_run_context(RunContext(shard_workers=shards)):
+                assert submission.cache_key(cache) == key  # context=None reads the current one
 
     def test_overrides_change_the_key(self, tmp_path):
         cache = RunCache(tmp_path)
@@ -508,6 +506,44 @@ class TestJobManager:
         assert restored.status == "failed"
         assert "restarted" in restored.error
 
+    def test_two_contexts_at_once(self, tmp_path, monkeypatch):
+        """Two managers with different run contexts share one process and
+        one cache, and their jobs run at the same time: each job keys and
+        runs under its own manager's context."""
+        import repro.serve.submit as submit_module
+
+        payload = {"kind": "experiment", "name": "E01", "quick": True, "seed": 0}
+        contexts = {"analytic": RunContext("analytic"), "default": RunContext()}
+        expected = {}
+        for name, context in contexts.items():
+            with use_run_context(context):
+                expected[name] = dumps(run_submission(Submission.from_payload(payload))[0])
+
+        both_running = threading.Barrier(2, timeout=30.0)
+        real_execute = submit_module.execute_submission
+
+        def overlapped(submission, **kwargs):
+            both_running.wait()  # neither job computes until both are running
+            return real_execute(submission, **kwargs)
+
+        monkeypatch.setattr(submit_module, "execute_submission", overlapped)
+        cache = RunCache(tmp_path / "cache")
+        managers = {
+            name: JobManager(cache=cache, workers=1, context=context)
+            for name, context in contexts.items()
+        }
+        jobs = {name: manager.submit(payload) for name, manager in managers.items()}
+        for manager in managers.values():
+            manager.start()
+        for name, manager in managers.items():
+            drain(manager, jobs[name])
+            manager.stop()
+        assert all(job.result_status == "computed" for job in jobs.values())
+        assert jobs["analytic"].key != jobs["default"].key
+        for name, manager in managers.items():
+            assert dumps(manager.result(jobs[name].id)) == expected[name]
+        assert expected["analytic"] != expected["default"]
+
     def test_health_reports_worker_liveness(self):
         manager = JobManager(workers=2)
         assert manager.health()["status"] == "degraded"  # not started yet
@@ -739,6 +775,20 @@ class TestServeCLI:
         document = json.loads(capsys.readouterr().out)
         assert document["openapi"].startswith("3.")
         assert len(document["x-experiments"]) == 24
+
+    def test_serve_hands_its_run_context_to_the_manager(self, monkeypatch, tmp_path):
+        import repro.serve.api as api_module
+
+        contexts = []
+
+        def capture(server, **kwargs):
+            contexts.append(server.manager.context)
+            server.server_close()
+
+        monkeypatch.setattr(api_module, "serve_forever", capture)
+        argv = ["serve", "--port", "0", "--state-dir", str(tmp_path), "--backend", "analytic"]
+        assert main([*argv, "--shard-workers", "2"]) == 0
+        assert contexts == [RunContext("analytic", shard_workers=2)]
 
     def test_serve_rejects_unbindable_port(self, capsys):
         assert main(["serve", "--host", "203.0.113.1", "--port", "1"]) == 2

@@ -42,11 +42,7 @@ import repro.core.encounter as encounter
 import repro.core.fastpath as fastpath
 from repro.core.encounter import linear_counting_block_rows
 from repro.core.fastpath import run_fused
-from repro.core.kernel import (
-    get_default_shard_workers,
-    run_kernel,
-    set_default_shard_workers,
-)
+from repro.core.kernel import RunContext, run_kernel, use_run_context
 from repro.core.shardpath import shard_bounds
 from repro.core.simulation import SimulationConfig
 from repro.obs.telemetry import TelemetryRecorder, use_telemetry
@@ -361,33 +357,20 @@ class TestShardGolden:
 # ----------------------------------------------------------------------
 
 
-@pytest.fixture
-def restore_default_shard_workers():
-    previous = get_default_shard_workers()
-    yield
-    set_default_shard_workers(previous)
-
-
 class TestShardWorkersAPI:
-    def test_default_roundtrip(self, restore_default_shard_workers):
-        assert get_default_shard_workers() is None
-        set_default_shard_workers(4)
-        assert get_default_shard_workers() == 4
-        set_default_shard_workers(None)
-        assert get_default_shard_workers() is None
-
-    def test_invalid_defaults_rejected(self, restore_default_shard_workers):
+    def test_context_shard_workers_default_and_validation(self):
+        assert RunContext().shard_workers is None
         with pytest.raises(ValueError):
-            set_default_shard_workers(0)
+            RunContext(shard_workers=0)
         with pytest.raises(ValueError):
-            set_default_shard_workers(2.5)
+            RunContext(shard_workers=2.5)
 
-    def test_process_default_used_by_run_kernel(self, restore_default_shard_workers):
+    def test_context_shard_workers_used_by_run_kernel(self):
         topology = Torus2D(8)
         config = SimulationConfig(num_agents=9, rounds=10)
         explicit = run_kernel(topology, config, 6, seed=9, shard_workers=3)
-        set_default_shard_workers(3)
-        ambient = run_kernel(topology, config, 6, seed=9)
+        with use_run_context(RunContext(shard_workers=3)):
+            ambient = run_kernel(topology, config, 6, seed=9)
         assert_outcomes_equal(explicit, ambient)
 
     def test_reference_backend_refuses_shards(self):
