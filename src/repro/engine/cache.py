@@ -96,34 +96,46 @@ class RunCache:
     def contains(self, key: str) -> bool:
         return self.path_for(key).exists()
 
+    def read_bytes(self, key: str) -> bytes | None:
+        """The stored bytes of ``key``'s entry, or ``None`` if there are none.
+
+        These are exactly the bytes :meth:`store` wrote — ``dumps`` of the
+        payload — so a caller can hand them out without re-encoding. A
+        transient read error (permissions, fd exhaustion, I/O) returns
+        ``None`` and leaves the entry in place: the data may be perfectly
+        valid. Reading bytes is not a lookup, so no hit/miss counter moves;
+        :meth:`load` counts those.
+        """
+        try:
+            return self.path_for(key).read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError:
+            get_telemetry().counter("cache.read_errors")
+            return None
+
     def load(self, key: str) -> dict[str, Any] | None:
         """Return the stored payload for ``key``, or ``None`` on a miss.
 
-        A corrupt entry (e.g. from a crashed writer on a filesystem without
-        atomic replace) is treated as a miss and removed. A transient read
-        error (permissions, fd exhaustion, I/O) is a miss too, but the entry
-        is left in place — the data may be perfectly valid.
+        Parses the bytes of :meth:`read_bytes`. A corrupt entry (e.g. from a
+        crashed writer on a filesystem without atomic replace) is treated as
+        a miss and removed.
         """
-        path = self.path_for(key)
         tel = get_telemetry()
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            tel.counter("cache.misses")
-            return None
-        except ValueError:
-            # Undecodable bytes or malformed JSON: the entry is corrupt.
-            # (UnicodeDecodeError and json.JSONDecodeError are both ValueError.)
+        data = self.read_bytes(key)
+        if data is not None:
             try:
-                path.unlink()
-            except OSError:
-                pass
-            tel.counter("cache.corrupt_recovered")
-            tel.counter("cache.misses")
-            return None
-        except OSError:
-            tel.counter("cache.read_errors")
+                payload = json.loads(data.decode("utf-8"))
+            except ValueError:
+                # Undecodable bytes or malformed JSON: the entry is corrupt.
+                # (UnicodeDecodeError and json.JSONDecodeError are both ValueError.)
+                try:
+                    self.path_for(key).unlink()
+                except OSError:
+                    pass
+                tel.counter("cache.corrupt_recovered")
+                data = None
+        if data is None:
             tel.counter("cache.misses")
             return None
         tel.counter("cache.hits")

@@ -106,7 +106,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     def _send_json(
         self, payload: Any, *, status: int = 200, headers: dict[str, str] | None = None
     ) -> None:
-        body = (payload if isinstance(payload, str) else dumps(payload)).encode("utf-8")
+        body = payload if isinstance(payload, bytes) else dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -205,15 +205,15 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _route_jobs_id_result_get(self, id: str) -> None:  # noqa: A002
         try:
-            payload = self.manager.result(id)
+            body = self.manager.result_bytes(id)
         except ValueError as error:
             job = self.manager.get(id)
             status = 409 if job.status in ("queued", "running") else 410
             self._send_error_json(status, str(error))
             return
-        # dumps() here, not a re-serialisation downstream: every client of
-        # the same cache key receives these exact bytes.
-        self._send_json(dumps(payload))
+        # The cache entry's bytes, unchanged: every client of the same key
+        # receives exactly these, and nothing re-encodes them per request.
+        self._send_json(body)
 
     def _route_jobs_id_delete(self, id: str) -> None:  # noqa: A002
         if self.manager.cancel(id):

@@ -24,16 +24,21 @@ a bounded queue (:class:`QueueFullError` → 503) and a per-client token
 bucket (:class:`RateLimitedError` → 429), each carrying a ``retry_after``
 hint.
 
+With a cache, a finished job's result *is* its cache entry: the job keeps
+its record, its key and its encoded final SSE frame, never the payload, and
+:meth:`~JobManager.result_bytes` hands out the entry's bytes unchanged —
+the same bytes before and after a restart, with no re-encoding per request.
+
 Job records persist as one JSON file per job under ``jobs_dir`` (atomic
 writes). On restart the manager reloads them: completed jobs keep their
-cache key — payloads are re-served straight from the cache — queued jobs
-re-enqueue, and jobs that were mid-run when the daemon died are marked
-failed (the next identical submission is a plain cache hit if the leader
-finished its store, a recompute otherwise).
+cache key, queued jobs re-enqueue, and jobs that were mid-run when the
+daemon died are marked failed (the next identical submission is a plain
+cache hit if the leader finished its store, a recompute otherwise).
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from pathlib import Path
@@ -126,7 +131,7 @@ class Job:
         self.error: str | None = None
         self.key: str | None = None
         self.result_status: str | None = None  # hit / computed / dedupe
-        self.result: dict[str, Any] | None = None
+        self.result: dict[str, Any] | None = None  # kept only without a cache
         self.broadcaster = RoundBroadcaster()
         self.cancel_requested = False
 
@@ -252,15 +257,37 @@ class JobManager:
             return [self._jobs[job_id] for job_id in self._order]
 
     def result(self, job_id: str) -> dict[str, Any]:
-        """The payload of a done job; reloads from the cache after a restart."""
+        """The payload of a done job, parsed from its cache entry's bytes."""
+        job, data = self._finished(job_id)
+        return job.result if data is None else json.loads(data)
+
+    def result_bytes(self, job_id: str) -> bytes:
+        """The encoded payload of a done job: its cache entry's bytes.
+
+        Every request for a key gets the bytes the cache stored, before and
+        after a restart. A manager without a cache encodes the payload it
+        kept. A deleted entry raises ``ValueError`` (HTTP 410), whether the
+        job finished in this process or was restored.
+        """
+        job, data = self._finished(job_id)
+        tel = get_telemetry()
+        if data is None:
+            tel.counter("serve.results.encoded")
+            return dumps(job.result).encode("utf-8")
+        tel.counter("serve.results.from_cache")
+        return data
+
+    def _finished(self, job_id: str) -> tuple[Job, bytes | None]:
+        """A done job and its entry's bytes (``None``: the job kept its payload)."""
         job = self.get(job_id)
         if job.status != "done":
             raise ValueError(f"job {job_id} is {job.status}, not done")
-        if job.result is None and self.cache is not None and job.key is not None:
-            job.result = self.cache.load(job.key)
-        if job.result is None:
+        data = None
+        if self.cache is not None and job.key is not None:
+            data = self.cache.read_bytes(job.key)
+        if data is None and job.result is None:
             raise ValueError(f"job {job_id} has no retrievable payload")
-        return job.result
+        return job, data
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a queued job; returns False once it is already running."""
@@ -367,7 +394,8 @@ class JobManager:
             tel.counter("serve.jobs.failed")
             job.broadcaster.close({"job": job.id, "status": "failed", "error": job.error})
         else:
-            job.result = payload
+            # With a cache the entry is the result (see result_bytes).
+            job.result = payload if self.cache is None else None
             job.result_status = status
             job.status = "done"
             job.finished = time.time()
@@ -378,7 +406,8 @@ class JobManager:
             tel.timer("serve.job_seconds", time.perf_counter() - start)
             # The final SSE event carries the job's full payload: on a
             # cache hit or dedupe no per-round events ever fired, so this
-            # is the one event every subscriber is guaranteed to get.
+            # is the one event every subscriber is guaranteed to get. The
+            # broadcaster keeps it encoded, not the payload dict.
             job.broadcaster.close(
                 {"job": job.id, "status": "done", "result_status": status, "result": payload}
             )
@@ -397,8 +426,6 @@ class JobManager:
 
     def _restore(self) -> None:
         """Reload persisted job records (constructor-time, single-threaded)."""
-        import json
-
         if not self.jobs_dir.is_dir():
             return
         records = []

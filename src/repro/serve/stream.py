@@ -69,7 +69,7 @@ class RoundBroadcaster:
         self._subscribers: list[_Subscriber] = []
         self._sequence = 0
         self._closed = False
-        self._final: dict[str, Any] | None = None
+        self._final: bytes | None = None  # the encoded ``final`` frame
 
     # ------------------------------------------------------------------
     # Producer side (the job worker)
@@ -79,12 +79,18 @@ class RoundBroadcaster:
         self._emit("round", dict(record))
 
     def close(self, final: Mapping[str, Any] | None = None) -> None:
-        """Mark the stream complete, optionally with a ``final`` event payload."""
+        """Mark the stream complete, optionally with a ``final`` event payload.
+
+        The ``final`` frame is encoded here, once, and only its bytes are
+        kept: every subscriber gets the same frame, and no payload dict
+        outlives the job that produced it.
+        """
+        frame = sse_format("final", dict(final or {}))
         with self._lock:
             if self._closed:
                 return
+            self._final = frame  # set before _closed: readers poll _closed unlocked
             self._closed = True
-            self._final = dict(final) if final is not None else None
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
             # Best-effort: a full queue is fine — the consumer's live loop
@@ -154,7 +160,7 @@ class RoundBroadcaster:
                     yield sse_format(event, data, event_id=sequence)
             if subscriber.dropped:
                 yield sse_format("dropped", {"events": subscriber.dropped})
-            yield sse_format("final", self._final if self._final is not None else {})
+            yield self._final
         finally:
             with self._lock:
                 if subscriber in self._subscribers:

@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import main
 from repro.engine import RunCache, cache_key
+from repro.obs.telemetry import TelemetryRecorder, use_telemetry
+from repro.utils.serialization import dumps
 
 
 class TestCacheKey:
@@ -42,6 +44,19 @@ class TestRunCache:
         assert path.exists()
         assert cache.contains(key)
         assert cache.load(key) == payload
+
+    def test_read_bytes_returns_the_stored_bytes_and_counts_no_lookup(self, tmp_path):
+        cache = RunCache(tmp_path)
+        key = cache.key(k=4)
+        payload = {"value": np.float64(0.25), "records": [{"rounds": 25}], "note": "é"}
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder):
+            assert cache.read_bytes(key) is None
+            cache.store(key, payload)
+            data = cache.read_bytes(key)
+        assert data == dumps(payload).encode("utf-8")
+        counters = recorder.summary()["counters"]
+        assert "cache.hits" not in counters and "cache.misses" not in counters
 
     def test_numpy_payloads_serialised(self, tmp_path):
         cache = RunCache(tmp_path)

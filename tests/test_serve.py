@@ -20,6 +20,7 @@ handful of rounds) so the whole file stays in the fast tier.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import urllib.error
@@ -279,6 +280,36 @@ class TestRoundBroadcaster:
         assert len(dropped) == 1 and b'{"events":4}' in dropped[0]
         assert b"event: final" in frames[-1]
 
+    def test_subscribers_racing_close_all_end_on_the_final_frame(self):
+        """Stress: with a one-slot buffer the close sentinel is often dropped,
+        so live subscribers leave on the unlocked ``closed`` flag; each must
+        still end on the one frame ``close`` encoded."""
+        import sys
+
+        final = {"status": "done", "result": {"records": list(range(50))}}
+        expected = sse_format("final", final)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                broadcaster = RoundBroadcaster(buffer=1)
+                lasts: list[bytes] = []
+
+                def consume():
+                    lasts.append(list(broadcaster.subscribe(poll_seconds=0.001))[-1])
+
+                threads = [threading.Thread(target=consume) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                broadcaster.publish({"round": 1})
+                broadcaster.close(final)
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert lasts == [expected] * 6
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_publish_after_close_is_ignored(self):
         broadcaster = RoundBroadcaster()
         broadcaster.close()
@@ -354,6 +385,12 @@ class TestJobManager:
         assert first.result_status == "computed"
         assert second.result_status == "hit"
         assert dumps(manager.result(first.id)) == dumps(manager.result(second.id))
+        assert all(
+            manager.result_bytes(job.id)
+            == manager.cache.path_for(job.key).read_bytes()
+            == dumps(manager.result(job.id)).encode("utf-8")
+            for job in (first, second)
+        )
 
     def test_concurrent_identical_submissions_execute_once(self, tmp_path, monkeypatch):
         """Acceptance: N identical concurrent jobs -> ONE engine execution,
@@ -426,6 +463,54 @@ class TestJobManager:
         assert summary["counters"]["cache.dedupe_hits"] == 3
         payloads = {dumps(manager.result(job.id)) for job in jobs}
         assert len(payloads) == 1  # byte-identical for every caller
+        assert all(
+            manager.result_bytes(job.id)
+            == cache.path_for(key).read_bytes()
+            == dumps(manager.result(job.id)).encode("utf-8")
+            for job in jobs
+        )
+
+    def test_finished_hit_jobs_retain_less_than_their_cache_entry(self, tmp_path):
+        """The tracemalloc regression gate: a finished job keeps its record,
+        its key and its encoded final frame, never a payload dict, so each
+        hit job of a large payload retains less than its cache entry."""
+        import gc
+        import tracemalloc
+
+        crash = {"kind": "scenario", "name": "crash", "quick": True, "seed": 0, "replicates": 4}
+        manager = JobManager(cache=RunCache(tmp_path / "cache"), workers=1)
+        warm = [manager.submit(crash) for _ in range(3)]  # compute, then hit twice
+        drain(manager, *warm)
+        entry_bytes = manager.cache.path_for(warm[0].key).stat().st_size
+
+        gc.collect()
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        jobs = [manager.submit(crash) for _ in range(24)]
+        drain(manager, *jobs)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        manager.stop()
+
+        assert [job.result_status for job in jobs] == ["hit"] * 24
+        per_job = (after - before) / len(jobs)
+        assert per_job < entry_bytes, f"{per_job:.0f} B retained per job, entry is {entry_bytes} B"
+        assert all(job.result is None for job in warm + jobs)
+
+    def test_cacheless_manager_keeps_and_encodes_its_payload(self):
+        manager = JobManager(workers=1)
+        job = manager.submit(TINY)
+        drain(manager, job)
+        manager.stop()
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder):
+            body = manager.result_bytes(job.id)
+        assert job.result is not None
+        assert body == dumps(manager.result(job.id)).encode("utf-8")
+        counters = recorder.summary()["counters"]
+        assert counters["serve.results.encoded"] == 1
+        assert "serve.results.from_cache" not in counters
 
     def test_failed_submission_is_rejected_not_queued(self, tmp_path):
         manager = JobManager(cache=RunCache(tmp_path / "cache"), workers=1)
@@ -559,11 +644,14 @@ class TestJobManager:
 # ======================================================================
 
 
-@pytest.fixture()
-def daemon(tmp_path):
-    manager = JobManager(
-        cache=RunCache(tmp_path / "cache"), jobs_dir=tmp_path / "jobs", workers=2
-    )
+def state_manager(tmp_path) -> JobManager:
+    """A daemon's manager over the state under ``tmp_path`` (cache + job records)."""
+    return JobManager(cache=RunCache(tmp_path / "cache"), jobs_dir=tmp_path / "jobs", workers=2)
+
+
+@contextlib.contextmanager
+def serving(manager: JobManager):
+    """Serve ``manager`` on a loopback port; yields the base URL."""
     server = ReproServer(("127.0.0.1", 0), manager)
     thread = threading.Thread(
         target=serve_forever,
@@ -572,13 +660,20 @@ def daemon(tmp_path):
         daemon=True,
     )
     thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield base
-    server.shutdown()
-    thread.join(timeout=10)
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
 
 
-def http_json(base: str, path: str, *, method: str = "GET", body=None):
+@pytest.fixture()
+def daemon(tmp_path):
+    with serving(state_manager(tmp_path)) as base:
+        yield base
+
+
+def http_bytes(base: str, path: str, *, method: str = "GET", body=None):
     data = json.dumps(body).encode() if body is not None else None
     request = urllib.request.Request(
         base + path,
@@ -587,7 +682,12 @@ def http_json(base: str, path: str, *, method: str = "GET", body=None):
         headers={"Content-Type": "application/json"} if data else {},
     )
     with urllib.request.urlopen(request, timeout=30) as response:
-        return response.status, json.loads(response.read())
+        return response.status, response.read()
+
+
+def http_json(base: str, path: str, *, method: str = "GET", body=None):
+    status, raw = http_bytes(base, path, method=method, body=body)
+    return status, json.loads(raw)
 
 
 def wait_done(base: str, job_id: str, timeout: float = 60.0):
@@ -622,6 +722,42 @@ class TestHTTPDaemon:
         assert record["status"] == "done" and record["result_status"] == "computed"
         _, payload = http_json(daemon, f"/jobs/{job['id']}/result")
         assert len(payload["records"]) == 6
+
+    def test_result_bodies_are_the_cache_entry_bytes(self, daemon):
+        """Computed and hit answer the same bytes: ``dumps`` of the payload,
+        read from the entry rather than encoded per request."""
+        expected = dumps(run_submission(Submission.from_payload(TINY))[0]).encode("utf-8")
+        recorder = TelemetryRecorder(level="summary")
+        bodies = []
+        with use_telemetry(recorder):
+            for status in ("computed", "hit"):
+                _, job = http_json(daemon, "/jobs", method="POST", body=TINY)
+                assert wait_done(daemon, job["id"])["result_status"] == status
+                bodies.append(http_bytes(daemon, f"/jobs/{job['id']}/result")[1])
+        assert bodies == [expected, expected]
+        counters = recorder.summary()["counters"]
+        assert counters["serve.results.from_cache"] == 2
+        assert "serve.results.encoded" not in counters
+
+    def test_deleted_entry_is_410_live_and_after_restart(self, tmp_path):
+        """A live daemon and a restarted one answer a deleted entry the same
+        way: 410, while the job record still says done."""
+
+        def assert_gone(base: str, job_id: str) -> None:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                http_json(base, f"/jobs/{job_id}/result")
+            assert excinfo.value.code == 410
+            assert "has no retrievable payload" in json.loads(excinfo.value.read())["error"]
+            assert http_json(base, f"/jobs/{job_id}")[1]["status"] == "done"
+
+        with serving(state_manager(tmp_path)) as live:
+            _, job = http_json(live, "/jobs", method="POST", body=TINY)
+            key = wait_done(live, job["id"])["key"]
+            http_bytes(live, f"/jobs/{job['id']}/result")  # served while the entry exists
+            RunCache(tmp_path / "cache").path_for(key).unlink()
+            assert_gone(live, job["id"])
+        with serving(state_manager(tmp_path)) as restarted:
+            assert_gone(restarted, job["id"])
 
     def test_unknown_routes_and_jobs_are_404(self, daemon):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
