@@ -60,73 +60,54 @@ Online tracking of a time-varying world:
 80
 """
 
-# Defined before any subpackage import: repro.store and repro.sweeps fold the
+from repro._lazy import lazy_exports
+
+# A plain global, not a lazy export: repro.store and repro.sweeps fold the
 # package version into provenance metadata and cache keys at import time.
 __version__ = "1.10.0"
 
-from repro.core import (
-    AnalyticSolution,
-    AnalyticUnsupportedError,
-    IndependentSamplingEstimator,
-    QuorumDetector,
-    RandomWalkDensityEstimator,
-    bounds,
-    estimate_density,
-    estimate_density_independent,
-    estimate_property_frequency,
-    solve_analytic,
-)
-from repro.core.results import AccuracySummary, DensityEstimationRun
-from repro.dynamics import (
-    EventSchedule,
-    Scenario,
-    ScenarioRunResult,
-    build_scenario,
-    run_scenario,
-    scenario_names,
-)
-from repro.core.kernel import RunContext, use_run_context
-from repro.engine import (
-    KERNEL_BACKENDS,
-    BatchSimulationResult,
-    ExecutionEngine,
-    RunCache,
-    require_batch_safe,
-    run_kernel,
-)
-from repro.obs import (
-    Telemetry,
-    TelemetryRecorder,
-    get_telemetry,
-    set_telemetry,
-    use_telemetry,
-)
-from repro.store import ResultStore
-from repro.sweeps import (
-    GridAxis,
-    RandomAxis,
-    SweepSpec,
-    TargetSpec,
-    ZipAxis,
-    run_sweep_spec,
-)
-from repro.netsize import (
-    NetworkSizeEstimationPipeline,
-    estimate_average_degree,
-    estimate_network_size,
-    katzir_size_estimate,
-)
-from repro.swarm import RobotSwarm
-from repro.sensor import SensorGrid
-from repro.topology import (
-    CompleteGraph,
-    Hypercube,
-    NetworkXTopology,
-    RegularExpander,
-    Ring,
-    Torus2D,
-    TorusKD,
-)
+# Each public name imports its defining module on first use, so ``import
+# repro`` imports no submodule and a command loads only what it runs.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "RandomWalkDensityEstimator": ".core.estimator", "estimate_density": ".core.estimator",
+    "IndependentSamplingEstimator": ".core.independent",
+    "estimate_density_independent": ".core.independent",
+    "QuorumDetector": ".core.thresholds",
+    "estimate_property_frequency": ".core.frequency",
+    "bounds": ".core.bounds",
+    "DensityEstimationRun": ".core.results", "AccuracySummary": ".core.results",
+    "KERNEL_BACKENDS": ".core.kernel", "RunContext": ".core.kernel",
+    "use_run_context": ".core.kernel", "BatchSimulationResult": ".core.kernel",
+    "run_kernel": ".core.kernel", "require_batch_safe": ".core.kernel",
+    "AnalyticSolution": ".core.analytic", "AnalyticUnsupportedError": ".core.analytic",
+    "solve_analytic": ".core.analytic:solve",
+    "ExecutionEngine": ".engine.scheduler",
+    "RunCache": ".engine.cache",
+    "SweepSpec": ".sweeps.spec", "TargetSpec": ".sweeps.spec", "GridAxis": ".sweeps.spec",
+    "ZipAxis": ".sweeps.spec", "RandomAxis": ".sweeps.spec",
+    "run_sweep_spec": ".sweeps.runner",
+    "ResultStore": ".store.store",
+    "Telemetry": ".obs.telemetry", "TelemetryRecorder": ".obs.telemetry",
+    "get_telemetry": ".obs.telemetry", "set_telemetry": ".obs.telemetry",
+    "use_telemetry": ".obs.telemetry",
+    "Scenario": ".dynamics.scenario", "build_scenario": ".dynamics.scenario",
+    "scenario_names": ".dynamics.scenario",
+    "ScenarioRunResult": ".dynamics.driver", "run_scenario": ".dynamics.driver",
+    "EventSchedule": ".dynamics.events",
+    "Torus2D": ".topology.torus",
+    "Ring": ".topology.ring",
+    "TorusKD": ".topology.torus_kd",
+    "Hypercube": ".topology.hypercube",
+    "CompleteGraph": ".topology.complete",
+    "RegularExpander": ".topology.expander",
+    "NetworkXTopology": ".topology.graph",
+    "NetworkSizeEstimationPipeline": ".netsize.pipeline",
+    "estimate_network_size": ".netsize.size_estimator",
+    "estimate_average_degree": ".netsize.degree",
+    "katzir_size_estimate": ".netsize.katzir",
+    "RobotSwarm": ".swarm.swarm",
+    "SensorGrid": ".sensor.network",
+})
 
 __all__ = [
     "__version__",

@@ -15,40 +15,23 @@
   simulations.
 """
 
-from repro.analysis.aggregate import (
-    StreamStats,
-    aggregate_records,
-    aggregate_stream,
-    parse_metric,
-    statistic_names,
-)
+from repro._lazy import lazy_exports
 
-from repro.analysis.concentration import (
-    chebyshev_deviation,
-    chernoff_deviation,
-    chernoff_interval,
-    median_of_means,
-    subexponential_deviation,
-)
-from repro.analysis.accuracy import (
-    empirical_epsilon,
-    empirical_failure_probability,
-    fit_power_law,
-    fraction_within,
-    relative_errors,
-)
-from repro.analysis.sweep import cartesian_grid
-from repro.analysis.bootstrap import (
-    BootstrapInterval,
-    bootstrap_interval,
-    difference_is_significant,
-)
-from repro.analysis.theory_tables import (
-    network_size_budget_table,
-    required_rounds_by_topology,
-    rounds_table,
-    torus_overhead_table,
-)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "required_rounds_by_topology": ".theory_tables", "rounds_table": ".theory_tables",
+    "torus_overhead_table": ".theory_tables", "network_size_budget_table": ".theory_tables",
+    "BootstrapInterval": ".bootstrap", "bootstrap_interval": ".bootstrap",
+    "difference_is_significant": ".bootstrap",
+    "chernoff_deviation": ".concentration", "chernoff_interval": ".concentration",
+    "chebyshev_deviation": ".concentration", "subexponential_deviation": ".concentration",
+    "median_of_means": ".concentration",
+    "relative_errors": ".accuracy", "fraction_within": ".accuracy",
+    "empirical_epsilon": ".accuracy", "empirical_failure_probability": ".accuracy",
+    "fit_power_law": ".accuracy",
+    "cartesian_grid": ".sweep",
+    "StreamStats": ".aggregate", "aggregate_records": ".aggregate",
+    "aggregate_stream": ".aggregate", "parse_metric": ".aggregate", "statistic_names": ".aggregate",
+})
 
 __all__ = [
     "required_rounds_by_topology",

@@ -85,7 +85,7 @@ from repro.engine import KERNEL_BACKENDS, ExecutionEngine, RunCache
 from repro.experiments import EXPERIMENTS
 from repro.experiments.base import ExperimentResult
 from repro.experiments.report import generate_report
-from repro.obs.telemetry import TelemetryRecorder, set_telemetry
+from repro.obs.telemetry import TelemetryRecorder, get_telemetry, set_telemetry
 from repro.serve.submit import Submission, result_from_payload, run_submission
 from repro.store import ResultStore, StoreError, merge_stores
 from repro.sweeps import load_spec, parse_shard, run_sweep_spec, sweep_status
@@ -508,9 +508,7 @@ def _command_list(as_json: bool = False) -> int:
         print(dumps(experiment_listing()))
         return 0
     for experiment_id in sorted(EXPERIMENTS):
-        module, _ = EXPERIMENTS[experiment_id]
-        summary = (module.__doc__ or "").strip().splitlines()[0]
-        print(f"{experiment_id}  {summary}")
+        print(f"{experiment_id}  {EXPERIMENTS.summary(experiment_id)}")
     return 0
 
 
@@ -556,23 +554,28 @@ def _command_run(
     cache = _open_cache(cache_dir)
     json_payloads = []
     failures: list[tuple[str, Exception]] = []
+    telemetry = get_telemetry()
     for experiment_id in ids:
-        try:
-            result, cached = _run_one_cached(
-                experiment_id, quick=quick, seed=seed, engine=engine, cache=cache
-            )
-        except Exception as error:
-            # When running the whole suite, one broken experiment must not
-            # abort the rest: collect the failure, keep going, and report
-            # (with a non-zero exit) at the end. A single named experiment
-            # keeps the fail-fast behaviour.
-            if not running_all:
-                raise
-            failures.append((experiment_id, error))
-            print(f"error: [{experiment_id}] {error}", file=sys.stderr)
-            if as_json:
-                json_payloads.append({"experiment": experiment_id, "error": str(error)})
-            continue
+        # One span per experiment: a traced `run all` charges each one for its
+        # own time, including the import of its module on registry lookup.
+        with telemetry.span("experiment", id=experiment_id) as span:
+            try:
+                result, cached = _run_one_cached(
+                    experiment_id, quick=quick, seed=seed, engine=engine, cache=cache
+                )
+            except Exception as error:
+                # When running the whole suite, one broken experiment must not
+                # abort the rest: collect the failure, keep going, and report
+                # (with a non-zero exit) at the end. A single named experiment
+                # keeps the fail-fast behaviour.
+                if not running_all:
+                    raise
+                failures.append((experiment_id, error))
+                print(f"error: [{experiment_id}] {error}", file=sys.stderr)
+                if as_json:
+                    json_payloads.append({"experiment": experiment_id, "error": str(error)})
+                continue
+            span.annotate(cached=cached)
         if as_json:
             json_payloads.append(
                 {"experiment": result.experiment_id, "records": result.records, "notes": result.notes}

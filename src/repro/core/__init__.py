@@ -20,30 +20,25 @@ Contents
 * :mod:`repro.core.results` — result dataclasses with accuracy summaries.
 """
 
-from repro.core.adaptive import (
-    AdaptiveDensityEstimator,
-    AdaptiveEstimate,
-    rounds_for_threshold,
-)
-from repro.core.analytic import (
-    AnalyticSolution,
-    AnalyticUnsupportedError,
-    run_analytic,
-)
-from repro.core.analytic import solve as solve_analytic
-from repro.core.encounter import collision_counts, marked_collision_counts
-from repro.core.estimator import RandomWalkDensityEstimator, estimate_density
-from repro.core.independent import IndependentSamplingEstimator, estimate_density_independent
-from repro.core.frequency import (
-    PropertyFrequencyEstimate,
-    estimate_property_frequency,
-    estimate_property_frequency_batch,
-)
-from repro.core.kernel import BatchSimulationResult, require_batch_safe, run_kernel
-from repro.core.thresholds import QuorumDecision, QuorumDetector
-from repro.core.results import DensityEstimationRun, AccuracySummary
-from repro.core.simulation import SimulationConfig
-from repro.core import bounds
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "AdaptiveDensityEstimator": ".adaptive", "AdaptiveEstimate": ".adaptive",
+    "rounds_for_threshold": ".adaptive",
+    "AnalyticSolution": ".analytic", "AnalyticUnsupportedError": ".analytic",
+    "run_analytic": ".analytic",
+    "solve_analytic": ".analytic:solve",
+    "collision_counts": ".encounter", "marked_collision_counts": ".encounter",
+    "RandomWalkDensityEstimator": ".estimator", "estimate_density": ".estimator",
+    "IndependentSamplingEstimator": ".independent", "estimate_density_independent": ".independent",
+    "PropertyFrequencyEstimate": ".frequency", "estimate_property_frequency": ".frequency",
+    "estimate_property_frequency_batch": ".frequency",
+    "BatchSimulationResult": ".kernel", "require_batch_safe": ".kernel", "run_kernel": ".kernel",
+    "QuorumDetector": ".thresholds", "QuorumDecision": ".thresholds",
+    "DensityEstimationRun": ".results", "AccuracySummary": ".results",
+    "SimulationConfig": ".simulation",
+    "bounds": ".bounds",
+})
 
 __all__ = [
     "AdaptiveDensityEstimator",

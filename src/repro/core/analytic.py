@@ -48,10 +48,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse
 
 from repro.core.kernel import BatchSimulationResult
 from repro.core.simulation import SimulationConfig, SimulationResult
@@ -64,12 +63,10 @@ from repro.topology.torus_kd import TorusKD
 from repro.utils.rng import SeedLike
 from repro.utils.validation import require_integer
 
-try:  # SciPy >= 1.6 exposes the exact inverse normal CDF here.
-    from scipy.special import ndtri
-except ImportError:  # pragma: no cover - scipy always ships ndtri
-    from scipy.stats import norm
-
-    ndtri = norm.ppf
+# SciPy is imported inside the functions that use it, so importing this
+# module costs NumPy only.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import scipy.sparse
 
 #: Topologies whose single-pair chain the engine can solve. All are
 #: vertex-transitive with a symmetric uniform-step walk, which is what makes
@@ -183,6 +180,8 @@ def transition_matrix(topology: Topology) -> scipy.sparse.csr_matrix:
             f"no analytic transition structure for topology {topology.name!r} "
             f"({type(topology).__name__}); supported topologies: {supported}."
         )
+    import scipy.sparse
+
     num_nodes = topology.num_nodes
     choices = int(topology.num_step_choices)
     if num_nodes * choices > MAX_TRANSITION_NNZ:
@@ -368,6 +367,8 @@ class AnalyticSolution:
         ``(1-δ)`` quantile of ``|d̃ - d|/d`` under a normal approximation is
         ``z_{1-δ/2} · σ/d``.
         """
+        from scipy.special import ndtri
+
         _require_delta(delta)
         if self.density == 0.0:
             return math.inf
@@ -452,6 +453,8 @@ def _expectation_comb(solution: AnalyticSolution) -> np.ndarray:
     analytic mean and variance *exactly*, and empirical quantile statistics
     reproduce the CLT widths.
     """
+    from scipy.special import ndtri
+
     count = solution.num_agents
     mean_total = solution.expected_collision_total
     std_total = solution.rounds * solution.estimate_std

@@ -27,47 +27,23 @@ Quickstart::
         print(record["round"], record["true_density"], record["window"])
 """
 
-from repro.dynamics.events import (
-    AgentArrival,
-    AgentDeparture,
-    DensityShock,
-    Event,
-    EventSchedule,
-    NoiseWindow,
-    TopologyChange,
-    event_from_dict,
-    event_to_dict,
-    random_churn_schedule,
-)
-from repro.dynamics.population import (
-    Population,
-    remap_positions,
-    retire_agents,
-    shock_population,
-    spawn_agents,
-)
-from repro.dynamics.online import (
-    DiscountedEstimator,
-    RunningEstimator,
-    SlidingWindowEstimator,
-    TwoWindowChangeDetector,
-)
-from repro.dynamics.scenario import (
-    SCENARIOS,
-    Scenario,
-    build_scenario,
-    build_topology,
-    register_scenario,
-    scenario_names,
-)
-from repro.dynamics.driver import (
-    CHUNK_REPLICATES,
-    ScenarioRunResult,
-    TrackingParameters,
-    run_scenario,
-    track_scenario,
-    track_scenario_batch,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Event": ".events", "AgentArrival": ".events", "AgentDeparture": ".events",
+    "DensityShock": ".events", "TopologyChange": ".events", "NoiseWindow": ".events",
+    "EventSchedule": ".events", "event_to_dict": ".events", "event_from_dict": ".events",
+    "random_churn_schedule": ".events",
+    "Population": ".population", "spawn_agents": ".population", "retire_agents": ".population",
+    "shock_population": ".population", "remap_positions": ".population",
+    "RunningEstimator": ".online", "SlidingWindowEstimator": ".online",
+    "DiscountedEstimator": ".online", "TwoWindowChangeDetector": ".online",
+    "TrackingParameters": ".online",
+    "Scenario": ".scenario", "SCENARIOS": ".scenario", "register_scenario": ".scenario",
+    "scenario_names": ".scenario", "build_scenario": ".scenario", "build_topology": ".scenario",
+    "CHUNK_REPLICATES": ".driver", "ScenarioRunResult": ".driver", "run_scenario": ".driver",
+    "track_scenario": ".driver", "track_scenario_batch": ".driver",
+})
 
 __all__ = [
     # events

@@ -25,20 +25,15 @@ and reproducibly:
     result = run_experiment("E09", quick=True, engine=engine)
 """
 
-from repro.core.kernel import (
-    KERNEL_BACKENDS,
-    BatchSimulationResult,
-    require_batch_safe,
-    run_kernel,
-)
-from repro.engine.cache import RunCache, cache_key
-from repro.engine.scheduler import (
-    ExecutionEngine,
-    ExecutionPlan,
-    build_plan,
-    execute_plan,
-    iter_execute_plan,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "BatchSimulationResult": "repro.core.kernel", "KERNEL_BACKENDS": "repro.core.kernel",
+    "require_batch_safe": "repro.core.kernel", "run_kernel": "repro.core.kernel",
+    "ExecutionEngine": ".scheduler", "ExecutionPlan": ".scheduler", "build_plan": ".scheduler",
+    "execute_plan": ".scheduler", "iter_execute_plan": ".scheduler",
+    "RunCache": ".cache", "cache_key": ".cache",
+})
 
 __all__ = [
     "BatchSimulationResult",

@@ -16,67 +16,80 @@ Use :data:`EXPERIMENTS` to iterate over the whole suite, or
 
 from __future__ import annotations
 
+import ast
 import inspect
+from collections.abc import Iterator, Mapping
+from importlib import import_module
+from importlib.util import find_spec
 from typing import TYPE_CHECKING, Callable
 
 from repro.experiments.base import ExperimentResult, summarize_many
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine import ExecutionEngine
-from repro.experiments import (
-    e01_accuracy_vs_rounds,
-    e02_accuracy_vs_density,
-    e03_recollision_torus,
-    e04_collision_moments,
-    e05_rw_vs_independent,
-    e06_topology_comparison,
-    e07_recollision_topologies,
-    e08_local_mixing,
-    e09_network_size,
-    e10_average_degree,
-    e11_burn_in,
-    e12_property_frequency,
-    e13_all_agents,
-    e14_noise_ablation,
-    e15_nonuniform_placement,
-    e16_sensor_sampling,
-    e17_unbiasedness,
-    e18_quorum_sensing,
-    e19_movement_models,
-    e20_boundary_effects,
-    e21_adaptive_estimation,
-    e22_collective_quorum,
-    e23_density_tracking,
-    e24_churn_robustness,
-)
 
-#: Registry: experiment id -> (module, config class).
-EXPERIMENTS: dict[str, tuple[object, type]] = {
-    "E01": (e01_accuracy_vs_rounds, e01_accuracy_vs_rounds.AccuracyVsRoundsConfig),
-    "E02": (e02_accuracy_vs_density, e02_accuracy_vs_density.AccuracyVsDensityConfig),
-    "E03": (e03_recollision_torus, e03_recollision_torus.RecollisionTorusConfig),
-    "E04": (e04_collision_moments, e04_collision_moments.CollisionMomentsConfig),
-    "E05": (e05_rw_vs_independent, e05_rw_vs_independent.RandomWalkVsIndependentConfig),
-    "E06": (e06_topology_comparison, e06_topology_comparison.TopologyComparisonConfig),
-    "E07": (e07_recollision_topologies, e07_recollision_topologies.RecollisionTopologiesConfig),
-    "E08": (e08_local_mixing, e08_local_mixing.LocalMixingConfig),
-    "E09": (e09_network_size, e09_network_size.NetworkSizeConfig),
-    "E10": (e10_average_degree, e10_average_degree.AverageDegreeConfig),
-    "E11": (e11_burn_in, e11_burn_in.BurnInConfig),
-    "E12": (e12_property_frequency, e12_property_frequency.PropertyFrequencyConfig),
-    "E13": (e13_all_agents, e13_all_agents.AllAgentsConfig),
-    "E14": (e14_noise_ablation, e14_noise_ablation.NoiseAblationConfig),
-    "E15": (e15_nonuniform_placement, e15_nonuniform_placement.NonuniformPlacementConfig),
-    "E16": (e16_sensor_sampling, e16_sensor_sampling.SensorSamplingConfig),
-    "E17": (e17_unbiasedness, e17_unbiasedness.UnbiasednessConfig),
-    "E18": (e18_quorum_sensing, e18_quorum_sensing.QuorumSensingConfig),
-    "E19": (e19_movement_models, e19_movement_models.MovementModelsConfig),
-    "E20": (e20_boundary_effects, e20_boundary_effects.BoundaryEffectsConfig),
-    "E21": (e21_adaptive_estimation, e21_adaptive_estimation.AdaptiveEstimationConfig),
-    "E22": (e22_collective_quorum, e22_collective_quorum.CollectiveQuorumConfig),
-    "E23": (e23_density_tracking, e23_density_tracking.DensityTrackingConfig),
-    "E24": (e24_churn_robustness, e24_churn_robustness.ChurnRobustnessConfig),
-}
+
+class ExperimentRegistry(Mapping):
+    """Experiment id -> ``(module, config class)``, importing a module on lookup.
+
+    Membership, ``len`` and iteration read the id table and import nothing,
+    so listing or validating ids costs no experiment import; ``registry[id]``
+    imports that one module (once, through ``sys.modules``).
+    """
+
+    def __init__(self, table: dict[str, tuple[str, str]]) -> None:
+        self._table = table
+
+    def __getitem__(self, key: str) -> tuple[object, type]:
+        module_name, config_name = self._table[key]
+        module = import_module(f"{__name__}.{module_name}")
+        return module, getattr(module, config_name)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._table
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def summary(self, key: str) -> str:
+        """First line of the experiment module's docstring, read from its source."""
+        spec = find_spec(f"{__name__}.{self._table[key][0]}")
+        docstring = ast.get_docstring(ast.parse(spec.loader.get_source(spec.name))) or ""
+        return docstring.strip().splitlines()[0]
+
+
+#: Registry: experiment id -> (module, config class), each imported on lookup.
+EXPERIMENTS = ExperimentRegistry(
+    {
+        "E01": ("e01_accuracy_vs_rounds", "AccuracyVsRoundsConfig"),
+        "E02": ("e02_accuracy_vs_density", "AccuracyVsDensityConfig"),
+        "E03": ("e03_recollision_torus", "RecollisionTorusConfig"),
+        "E04": ("e04_collision_moments", "CollisionMomentsConfig"),
+        "E05": ("e05_rw_vs_independent", "RandomWalkVsIndependentConfig"),
+        "E06": ("e06_topology_comparison", "TopologyComparisonConfig"),
+        "E07": ("e07_recollision_topologies", "RecollisionTopologiesConfig"),
+        "E08": ("e08_local_mixing", "LocalMixingConfig"),
+        "E09": ("e09_network_size", "NetworkSizeConfig"),
+        "E10": ("e10_average_degree", "AverageDegreeConfig"),
+        "E11": ("e11_burn_in", "BurnInConfig"),
+        "E12": ("e12_property_frequency", "PropertyFrequencyConfig"),
+        "E13": ("e13_all_agents", "AllAgentsConfig"),
+        "E14": ("e14_noise_ablation", "NoiseAblationConfig"),
+        "E15": ("e15_nonuniform_placement", "NonuniformPlacementConfig"),
+        "E16": ("e16_sensor_sampling", "SensorSamplingConfig"),
+        "E17": ("e17_unbiasedness", "UnbiasednessConfig"),
+        "E18": ("e18_quorum_sensing", "QuorumSensingConfig"),
+        "E19": ("e19_movement_models", "MovementModelsConfig"),
+        "E20": ("e20_boundary_effects", "BoundaryEffectsConfig"),
+        "E21": ("e21_adaptive_estimation", "AdaptiveEstimationConfig"),
+        "E22": ("e22_collective_quorum", "CollectiveQuorumConfig"),
+        "E23": ("e23_density_tracking", "DensityTrackingConfig"),
+        "E24": ("e24_churn_robustness", "ChurnRobustnessConfig"),
+    }
+)
 
 
 def _engine_aware_runner(key: str, module: object) -> Callable:

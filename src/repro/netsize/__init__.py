@@ -10,23 +10,20 @@ after burn-in, count collisions once) is implemented as the baseline the
 paper compares against in Section 5.1.5.
 """
 
-from repro.netsize.oracle import GraphAccessOracle
-from repro.netsize.degree import estimate_average_degree, estimate_inverse_average_degree
-from repro.netsize.size_estimator import NetworkSizeEstimate, estimate_network_size
-from repro.netsize.burn_in import burn_in_walks, required_burn_in_steps
-from repro.netsize.katzir import katzir_size_estimate
-from repro.netsize.pipeline import (
-    NetworkSizeEstimationPipeline,
-    PipelineReport,
-    median_amplified_estimate,
-)
-from repro.netsize.generators import available_generators, make_graph
-from repro.netsize.path_collisions import (
-    path_intersection_counts,
-    record_walk_paths,
-    same_round_collision_counts,
-    size_estimate_from_paths,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "available_generators": ".generators", "make_graph": ".generators",
+    "record_walk_paths": ".path_collisions", "same_round_collision_counts": ".path_collisions",
+    "path_intersection_counts": ".path_collisions", "size_estimate_from_paths": ".path_collisions",
+    "GraphAccessOracle": ".oracle",
+    "estimate_average_degree": ".degree", "estimate_inverse_average_degree": ".degree",
+    "NetworkSizeEstimate": ".size_estimator", "estimate_network_size": ".size_estimator",
+    "burn_in_walks": ".burn_in", "required_burn_in_steps": ".burn_in",
+    "katzir_size_estimate": ".katzir",
+    "NetworkSizeEstimationPipeline": ".pipeline", "PipelineReport": ".pipeline",
+    "median_amplified_estimate": ".pipeline",
+})
 
 __all__ = [
     "available_generators",

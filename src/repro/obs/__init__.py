@@ -10,40 +10,17 @@ Two halves:
   ``BENCH_*.json`` artifacts ingested into a ResultStore and scanned for
   statistically significant perf shifts with the two-window Welch-z
   detector from :mod:`repro.dynamics.online`.
-
-The history half is re-exported lazily: probe sites deep in the kernel
-import :mod:`repro.obs.telemetry` (stdlib-only) at module load, and an
-eager ``history`` import here would drag :mod:`repro.store` and
-:mod:`repro.dynamics` into that import chain — a cycle during package
-initialisation.
 """
 
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    TELEMETRY_LEVELS,
-    Telemetry,
-    TelemetryRecorder,
-    get_telemetry,
-    set_telemetry,
-    use_telemetry,
-)
+from repro._lazy import lazy_exports
 
-_HISTORY_EXPORTS = (
-    "analyze_history",
-    "extract_series",
-    "ingest_artifact",
-    "lower_is_better",
-    "scan_series",
-)
-
-
-def __getattr__(name: str):
-    if name in _HISTORY_EXPORTS:
-        from repro.obs import history
-
-        return getattr(history, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "NULL_TELEMETRY": ".telemetry", "TELEMETRY_LEVELS": ".telemetry", "Telemetry": ".telemetry",
+    "TelemetryRecorder": ".telemetry", "get_telemetry": ".telemetry", "set_telemetry": ".telemetry",
+    "use_telemetry": ".telemetry",
+    "analyze_history": ".history", "extract_series": ".history", "ingest_artifact": ".history",
+    "lower_is_better": ".history", "scan_series": ".history",
+})
 
 __all__ = [
     "NULL_TELEMETRY",

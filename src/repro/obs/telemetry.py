@@ -23,11 +23,13 @@ Two hard contracts:
   seed root) matching the :class:`~repro.store.ResultStore` sidecar
   convention — and flushes ``events.jsonl`` next to it.
 
-Span hierarchy (see README "Observability"); a level is skipped when its
-subsystem takes no part, e.g. ``run E17 --shard-workers 2`` nests
-``shardpath`` directly under ``run``::
+Span hierarchy (see README "Observability"); ``experiment`` and ``sweep``
+are siblings under ``run``, and a level is skipped when its subsystem takes
+no part, e.g. ``run E17 --shard-workers 2`` nests ``shardpath`` directly
+under ``experiment``::
 
     run                  # one CLI invocation (installed by repro.cli)
+     └─ experiment       # one experiment of ``repro run`` (repro.cli)
      └─ sweep            # one sweep spec (sweeps.runner)
          └─ plan         # one ExecutionPlan (engine.scheduler)
              └─ shardpath    # one sharded run_kernel call (core.shardpath)
@@ -77,6 +79,9 @@ class _NullSpan:
     def __exit__(self, *exc_info: object) -> None:
         return None
 
+    def annotate(self, **fields: Any) -> None:
+        """Add fields to the span's closing event (a no-op here)."""
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -107,7 +112,7 @@ class Telemetry:
         """Append one structured event to the stream (``"events"`` level only)."""
 
     def span(self, name: str, **fields: Any):
-        """Context manager timing a nested phase (run → sweep → plan → shardpath)."""
+        """Context manager timing a nested phase (run → experiment or sweep → plan → shardpath)."""
         return _NULL_SPAN
 
     def summary(self) -> dict[str, Any]:
@@ -178,6 +183,10 @@ class _Span:
     def __exit__(self, *exc_info: object) -> None:
         elapsed = time.perf_counter() - self._start
         self._recorder._pop_span(self.name, elapsed, self.fields)
+
+    def annotate(self, **fields: Any) -> None:
+        """Add fields to the span's closing event, e.g. an outcome known only at the end."""
+        self.fields.update(fields)
 
 
 class TelemetryRecorder(Telemetry):

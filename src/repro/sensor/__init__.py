@@ -8,13 +8,13 @@ nearly as accurate as independently sampling sensors — without the network
 having to remember which sensors were already visited.
 """
 
-from repro.sensor.network import SensorGrid
-from repro.sensor.aggregation import (
-    TokenSampleResult,
-    independent_sample_mean,
-    token_fraction_estimate,
-    token_mean_estimate,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "SensorGrid": ".network",
+    "TokenSampleResult": ".aggregation", "token_mean_estimate": ".aggregation",
+    "token_fraction_estimate": ".aggregation", "independent_sample_mean": ".aggregation",
+})
 
 __all__ = [
     "SensorGrid",

@@ -22,27 +22,17 @@ Everything is stdlib + the package's existing dependencies; there is no
 web framework.
 """
 
-from repro.serve.jobs import (
-    Job,
-    JobManager,
-    QueueFullError,
-    RateLimitedError,
-    TokenBucketLimiter,
-    UnknownJobError,
-)
-from repro.serve.schema import (
-    experiment_listing,
-    openapi_document,
-    scenario_listing,
-    submission_schema,
-)
-from repro.serve.stream import RoundBroadcaster, sse_format
-from repro.serve.submit import (
-    CACHE_SCHEMA,
-    Submission,
-    execute_submission,
-    run_submission,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CACHE_SCHEMA": ".submit", "Submission": ".submit", "execute_submission": ".submit",
+    "run_submission": ".submit",
+    "Job": ".jobs", "JobManager": ".jobs", "QueueFullError": ".jobs", "RateLimitedError": ".jobs",
+    "TokenBucketLimiter": ".jobs", "UnknownJobError": ".jobs",
+    "RoundBroadcaster": ".stream", "sse_format": ".stream",
+    "experiment_listing": ".schema", "openapi_document": ".schema", "scenario_listing": ".schema",
+    "submission_schema": ".schema",
+})
 
 __all__ = [
     "CACHE_SCHEMA",

@@ -26,13 +26,12 @@ completed sweep cell; ``repro store query`` and
 :func:`repro.experiments.report.results_from_store` read them back.
 """
 
-from repro.store.store import (
-    STORE_SCHEMA_VERSION,
-    ResultStore,
-    StoreError,
-    default_store_format,
-    merge_stores,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "STORE_SCHEMA_VERSION": ".store", "ResultStore": ".store", "StoreError": ".store",
+    "default_store_format": ".store", "merge_stores": ".store",
+})
 
 __all__ = [
     "STORE_SCHEMA_VERSION",

@@ -11,15 +11,17 @@
   illustrating the coverage application sketched in Section 6.3.4.
 """
 
-from repro.swarm.swarm import RobotSwarm, SwarmDensityReport
-from repro.swarm.noise import NoisyCollisionModel, correct_noisy_estimate
-from repro.swarm.placement import (
-    clustered_placement,
-    gaussian_blob_placement,
-    uniform_placement,
-)
-from repro.swarm.dispersion import DispersionResult, disperse_swarm, occupancy_imbalance
-from repro.swarm.collective import CollectiveDecision, MajorityQuorumVote
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CollectiveDecision": ".collective", "MajorityQuorumVote": ".collective",
+    "RobotSwarm": ".swarm", "SwarmDensityReport": ".swarm",
+    "NoisyCollisionModel": ".noise", "correct_noisy_estimate": ".noise",
+    "uniform_placement": "repro.core.simulation",
+    "clustered_placement": ".placement", "gaussian_blob_placement": ".placement",
+    "DispersionResult": ".dispersion", "disperse_swarm": ".dispersion",
+    "occupancy_imbalance": ".dispersion",
+})
 
 __all__ = [
     "CollectiveDecision",

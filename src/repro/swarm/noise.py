@@ -50,8 +50,11 @@ class NoisyCollisionModel:
         true_counts = np.asarray(true_counts, dtype=np.int64)
         observed = true_counts.astype(np.float64)
         if self.miss_probability > 0.0:
-            detected = rng.binomial(true_counts, 1.0 - self.miss_probability)
-            observed = detected.astype(np.float64)
+            # Thin only the nonzero counts: NumPy's binomial returns 0 for
+            # n = 0 without drawing, so values and generator state are those
+            # of thinning the whole array.
+            nonzero = true_counts != 0
+            observed[nonzero] = rng.binomial(true_counts[nonzero], 1.0 - self.miss_probability)
         if self.spurious_rate > 0.0:
             observed = observed + rng.poisson(self.spurious_rate, size=true_counts.shape)
         return observed

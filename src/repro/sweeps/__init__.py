@@ -22,27 +22,16 @@ The CLI front end is ``repro sweep run/resume/status`` (``run --shard i/N``
 for distributed shards) plus ``repro store merge``.
 """
 
-from repro.sweeps.spec import (
-    SWEEP_SPEC_SCHEMA,
-    GridAxis,
-    RandomAxis,
-    SweepSpec,
-    TargetSpec,
-    ZipAxis,
-    axis_from_dict,
-    expand_axes,
-    load_spec,
-    parse_shard,
-    save_spec,
-    shard_cell_indices,
-)
-from repro.sweeps.runner import (
-    SweepCell,
-    SweepOutcome,
-    compile_cells,
-    run_sweep_spec,
-    sweep_status,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "SWEEP_SPEC_SCHEMA": ".spec", "GridAxis": ".spec", "ZipAxis": ".spec", "RandomAxis": ".spec",
+    "TargetSpec": ".spec", "SweepSpec": ".spec", "axis_from_dict": ".spec", "expand_axes": ".spec",
+    "load_spec": ".spec", "parse_shard": ".spec", "save_spec": ".spec",
+    "shard_cell_indices": ".spec",
+    "SweepCell": ".runner", "SweepOutcome": ".runner", "compile_cells": ".runner",
+    "run_sweep_spec": ".runner", "sweep_status": ".runner",
+})
 
 __all__ = [
     "SWEEP_SPEC_SCHEMA",

@@ -16,21 +16,21 @@ The topologies mirror Section 2 and Section 4 of the paper:
   the network-size estimation application (Section 5.1).
 """
 
-from repro.topology.base import Topology, RegularTopology
-from repro.topology.torus import Torus2D
-from repro.topology.bounded_grid import BoundedGrid
-from repro.topology.ring import Ring
-from repro.topology.torus_kd import TorusKD
-from repro.topology.hypercube import Hypercube
-from repro.topology.complete import CompleteGraph
-from repro.topology.expander import RegularExpander
-from repro.topology.graph import NetworkXTopology
-from repro.topology.spectral import (
-    second_eigenvalue_magnitude,
-    spectral_gap,
-    mixing_time_upper_bound,
-    transition_matrix,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Topology": ".base", "RegularTopology": ".base",
+    "Torus2D": ".torus",
+    "BoundedGrid": ".bounded_grid",
+    "Ring": ".ring",
+    "TorusKD": ".torus_kd",
+    "Hypercube": ".hypercube",
+    "CompleteGraph": ".complete",
+    "RegularExpander": ".expander",
+    "NetworkXTopology": ".graph",
+    "second_eigenvalue_magnitude": ".spectral", "spectral_gap": ".spectral",
+    "mixing_time_upper_bound": ".spectral", "transition_matrix": ".spectral",
+})
 
 __all__ = [
     "Topology",

@@ -4,15 +4,15 @@ These helpers are intentionally small and dependency-free (NumPy only) so
 that every other subpackage can rely on them without import cycles.
 """
 
-from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.validation import (
-    require_in_range,
-    require_non_negative,
-    require_positive,
-    require_probability,
-)
-from repro.utils.tables import format_table
-from repro.utils.serialization import rows_to_csv, to_jsonable
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "as_generator": ".rng", "spawn_generators": ".rng",
+    "require_in_range": ".validation", "require_non_negative": ".validation",
+    "require_positive": ".validation", "require_probability": ".validation",
+    "format_table": ".tables",
+    "rows_to_csv": ".serialization", "to_jsonable": ".serialization",
+})
 
 __all__ = [
     "as_generator",

@@ -14,42 +14,24 @@ This package provides the measurement side of the paper's technical core:
   empirical global mixing measurements.
 """
 
-from repro.walks.single import end_positions, walk_path, walk_paths
-from repro.walks.recollision import recollision_profile, recollision_probability
-from repro.walks.equalization import (
-    count_equalizations,
-    equalization_counts,
-    equalization_profile,
-)
-from repro.walks.moments import (
-    central_moments,
-    pairwise_collision_counts,
-    visit_counts,
-)
-from repro.walks.mixing import (
-    empirical_mixing_time,
-    empirical_total_variation,
-    local_mixing_sum,
-)
-from repro.walks.coverage import (
-    CoverageStatistics,
-    coverage_statistics,
-    distinct_nodes_visited,
-    repeat_visit_fraction,
-)
-from repro.walks.movement import (
-    BiasedTorusWalk,
-    CollisionAvoidingWalk,
-    LazyRandomWalk,
-    MovementModel,
-    UniformRandomWalk,
-)
-from repro.walks.meeting import (
-    FirstPassageStatistics,
-    hitting_times,
-    meeting_times,
-    summarize_first_passage,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "FirstPassageStatistics": ".meeting", "hitting_times": ".meeting", "meeting_times": ".meeting",
+    "summarize_first_passage": ".meeting",
+    "walk_path": ".single", "walk_paths": ".single", "end_positions": ".single",
+    "recollision_profile": ".recollision", "recollision_probability": ".recollision",
+    "equalization_profile": ".equalization", "equalization_counts": ".equalization",
+    "count_equalizations": ".equalization",
+    "central_moments": ".moments", "pairwise_collision_counts": ".moments",
+    "visit_counts": ".moments",
+    "local_mixing_sum": ".mixing", "empirical_total_variation": ".mixing",
+    "empirical_mixing_time": ".mixing",
+    "CoverageStatistics": ".coverage", "coverage_statistics": ".coverage",
+    "distinct_nodes_visited": ".coverage", "repeat_visit_fraction": ".coverage",
+    "MovementModel": ".movement", "UniformRandomWalk": ".movement", "LazyRandomWalk": ".movement",
+    "BiasedTorusWalk": ".movement", "CollisionAvoidingWalk": ".movement",
+})
 
 __all__ = [
     "FirstPassageStatistics",

@@ -31,6 +31,33 @@ class TestNoisyCollisionModel:
         assert observed.mean() == pytest.approx(2.0, rel=0.1)
         assert np.all(observed <= counts)
 
+    @pytest.mark.parametrize("spurious_rate", [0.0, 0.05])
+    @pytest.mark.parametrize("miss_probability", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.random.default_rng(7).poisson(0.13, size=(32, 512)),
+            np.random.default_rng(8).integers(0, 5, size=(16, 64)),
+            np.zeros((4, 64), dtype=np.int64),
+            np.array([0, 2, 0, 0, 5, 1, 0, 0, 3]),
+        ],
+        ids=["sparse-batch", "dense-batch", "all-zero", "serial-1d"],
+    )
+    def test_thinning_nonzero_counts_matches_whole_array_binomial(
+        self, counts, miss_probability, spurious_rate
+    ):
+        """Values and generator state equal one binomial over every count."""
+        model = NoisyCollisionModel(miss_probability=miss_probability, spurious_rate=spurious_rate)
+        reference = np.random.default_rng(2024)
+        expected = reference.binomial(counts, 1.0 - miss_probability).astype(np.float64)
+        if spurious_rate:
+            expected = expected + reference.poisson(spurious_rate, size=counts.shape)
+        rng = np.random.default_rng(2024)
+        observed = model.observe(counts, rng)
+        assert observed.dtype == np.float64 and observed.shape == counts.shape
+        assert np.array_equal(observed, expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_spurious_adds_counts(self, rng):
         model = NoisyCollisionModel(spurious_rate=0.5)
         counts = np.zeros(10000, dtype=np.int64)
