@@ -141,6 +141,23 @@ class RunCache:
         tel.counter("cache.hits")
         return payload
 
+    def peek(self, key: str) -> bool:
+        """Whether ``key`` has an entry that parses, counted as a hit if so.
+
+        Unlike :meth:`load`, a missing or corrupt entry counts nothing and
+        stays where it is, so the caller's later :meth:`load` (or
+        :meth:`get_or_compute`) records the one miss and recovers it.
+        """
+        data = self.read_bytes(key)
+        if data is None:
+            return False
+        try:
+            json.loads(data.decode("utf-8"))
+        except ValueError:
+            return False
+        get_telemetry().counter("cache.hits")
+        return True
+
     def store(self, key: str, payload: Mapping[str, Any]) -> Path:
         """Atomically write ``payload`` under ``key``; returns the entry path."""
         path = self.path_for(key)

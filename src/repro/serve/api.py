@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
@@ -150,6 +151,8 @@ class ServeHandler(BaseHTTPRequestHandler):
             if params is None:
                 continue
             handler: Callable[..., None] = getattr(self, _handler_name(method, route_path))
+            tel = get_telemetry()
+            start = time.perf_counter()
             try:
                 handler(**params)
             except UnknownJobError as error:
@@ -163,6 +166,9 @@ class ServeHandler(BaseHTTPRequestHandler):
                 self._send_error_json(400, str(message))
             except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
                 pass  # the client went away mid-response; nothing to answer
+            finally:
+                if tel.enabled:  # a stream's time is the job's remaining life
+                    tel.timer("serve.http.request_seconds", time.perf_counter() - start, route=route)
             return
         known = sorted({r.partition(" ")[2] for r in ROUTES})
         self._send_error_json(404, f"no route for {method} {path}; known paths: {known}")

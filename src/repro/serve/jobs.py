@@ -25,9 +25,12 @@ bucket (:class:`RateLimitedError` → 429), each carrying a ``retry_after``
 hint.
 
 With a cache, a finished job's result *is* its cache entry: the job keeps
-its record, its key and its encoded final SSE frame, never the payload, and
-:meth:`~JobManager.result_bytes` hands out the entry's bytes unchanged —
-the same bytes before and after a restart, with no re-encoding per request.
+its record and its key only, never the payload. A submission whose entry
+already exists and parses is a finished ``hit`` the moment it is submitted:
+it takes no queue slot and waits for no worker.
+:meth:`~JobManager.result_bytes` hands out the entry's bytes unchanged, and
+each stream subscriber's final SSE frame is built from them on demand — the
+same bytes before and after a restart, with no re-encoding per request.
 
 Job records persist as one JSON file per job under ``jobs_dir`` (atomic
 writes). On restart the manager reloads them: completed jobs keep their
@@ -38,6 +41,7 @@ cache hit if the leader finished its store, a recompute otherwise).
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
@@ -47,7 +51,7 @@ from typing import Any, Mapping
 from repro.core.kernel import RunContext, use_run_context
 from repro.engine import ExecutionEngine, RunCache
 from repro.obs.telemetry import get_telemetry
-from repro.serve.stream import RoundBroadcaster
+from repro.serve.stream import RoundBroadcaster, sse_format
 from repro.serve.submit import Submission, run_submission
 from repro.utils.atomic import atomic_write_text
 from repro.utils.serialization import dumps
@@ -86,7 +90,9 @@ class TokenBucketLimiter:
     """Per-client token bucket: ``burst`` capacity refilled at ``rate``/s.
 
     ``rate=None`` disables limiting entirely. Buckets are created lazily per
-    client key and pruned once full again (idle clients cost nothing).
+    client key and pruned once full again (idle clients cost nothing): a
+    full bucket admits exactly what a missing one does, so each new
+    client's arrival drops every bucket whose refill has reached ``burst``.
     """
 
     def __init__(self, rate: float | None, burst: int = 10, *, clock=time.monotonic):
@@ -107,7 +113,15 @@ class TokenBucketLimiter:
             return None
         now = self._clock()
         with self._lock:
-            tokens, stamp = self._buckets.get(client, (float(self.burst), now))
+            bucket = self._buckets.get(client)
+            if bucket is None:
+                self._buckets = {
+                    name: (tokens, stamp)
+                    for name, (tokens, stamp) in self._buckets.items()
+                    if tokens + (now - stamp) * self.rate < self.burst
+                }
+                bucket = (float(self.burst), now)
+            tokens, stamp = bucket
             tokens = min(float(self.burst), tokens + (now - stamp) * self.rate)
             if tokens >= 1.0:
                 tokens -= 1.0
@@ -219,7 +233,13 @@ class JobManager:
     ) -> Job:
         """Validate, admit, enqueue. Raises :class:`RateLimitedError`,
         :class:`QueueFullError`, or the submission's own ``ValueError`` /
-        ``KeyError`` for malformed payloads."""
+        ``KeyError`` for malformed payloads.
+
+        A submission whose cache entry exists and parses returns as a done
+        ``hit`` job: it takes no queue slot (a full queue refuses only
+        submissions that would queue) and its record is written once. A
+        corrupt entry queues, and the worker recovers it.
+        """
         tel = get_telemetry()
         retry_after = self.limiter.check(client)
         if retry_after is not None:
@@ -228,20 +248,28 @@ class JobManager:
         submission = (
             payload if isinstance(payload, Submission) else Submission.from_payload(payload)
         )
+        key = None if self.cache is None else submission.cache_key(self.cache, self.context)
+        hit = key is not None and self.cache.peek(key)
         with self._lock:
-            if len(self._queue) >= self.queue_depth:
+            if not hit and len(self._queue) >= self.queue_depth:
                 tel.counter("serve.jobs.rejected_full")
                 raise QueueFullError(len(self._queue), retry_after=5.0)
             self._counter += 1
             job = Job(f"job-{self._counter:06d}", submission, client=client)
-            if self.cache is not None:
-                job.key = submission.cache_key(self.cache, self.context)
+            job.key = key
+            tel.counter("serve.jobs.submitted")
+            if hit:
+                job.status, job.result_status = "done", "hit"
+                job.started = job.finished = job.created
+                job.broadcaster.close(functools.partial(self._final_frame, job))
+                tel.counter("serve.jobs.completed")
+                tel.counter("serve.jobs.hit")
+            else:
+                self._queue.append(job.id)
+                tel.gauge("serve.queue.depth", len(self._queue))
+                self._wake.notify()
             self._jobs[job.id] = job
             self._order.append(job.id)
-            self._queue.append(job.id)
-            tel.counter("serve.jobs.submitted")
-            tel.gauge("serve.queue.depth", len(self._queue))
-            self._wake.notify()
         self._persist(job)
         return job
 
@@ -276,6 +304,21 @@ class JobManager:
             return dumps(job.result).encode("utf-8")
         tel.counter("serve.results.from_cache")
         return data
+
+    def _final_frame(self, job: Job) -> bytes:
+        """A done job's ``final`` SSE frame, built from its cache entry's bytes.
+
+        The entry is spliced in as ``result`` with byte operations only, so
+        the event's JSON value is ``{"job", "status", "result_status",
+        "result": <payload>}`` with no parse or re-encode. A deleted entry
+        leaves the event without ``result``.
+        """
+        head = {"job": job.id, "status": "done", "result_status": job.result_status}
+        data = self.cache.read_bytes(job.key)
+        if data is None:
+            return sse_format("final", head)
+        encoded = json.dumps(head, separators=(",", ":")).encode("utf-8")
+        return sse_format("final", encoded[:-1] + b',"result":' + data + b"}")
 
     def _finished(self, job_id: str) -> tuple[Job, bytes | None]:
         """A done job and its entry's bytes (``None``: the job kept its payload)."""
@@ -406,10 +449,13 @@ class JobManager:
             tel.timer("serve.job_seconds", time.perf_counter() - start)
             # The final SSE event carries the job's full payload: on a
             # cache hit or dedupe no per-round events ever fired, so this
-            # is the one event every subscriber is guaranteed to get. The
-            # broadcaster keeps it encoded, not the payload dict.
+            # is the one event every subscriber is guaranteed to get. With a
+            # cache it is built from the entry per subscriber; without one
+            # the broadcaster keeps it encoded, not the payload dict.
             job.broadcaster.close(
                 {"job": job.id, "status": "done", "result_status": status, "result": payload}
+                if self.cache is None
+                else functools.partial(self._final_frame, job)
             )
         self._persist(job)
 
@@ -458,7 +504,9 @@ class JobManager:
                 job.finished = job.finished or time.time()
             else:
                 job.status = status
-            if job.status in TERMINAL:
+            if job.status == "done" and self.cache is not None and job.key is not None:
+                job.broadcaster.close(functools.partial(self._final_frame, job))
+            elif job.status in TERMINAL:
                 job.broadcaster.close({"job": job.id, "status": job.status})
             self._jobs[job.id] = job
             self._order.append(job.id)

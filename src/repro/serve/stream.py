@@ -25,7 +25,7 @@ import collections
 import json
 import queue
 import threading
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 #: Sentinel queued to tell a subscriber the stream is complete.
 _CLOSED = object()
@@ -37,16 +37,21 @@ DEFAULT_HISTORY = 512
 DEFAULT_BUFFER = 256
 
 
-def sse_format(event: str, data: Mapping[str, Any] | str, *, event_id: int | None = None) -> bytes:
-    """One wire-format server-sent event (``id:``/``event:``/``data:`` lines)."""
-    body = data if isinstance(data, str) else json.dumps(data, separators=(",", ":"))
-    lines = []
-    if event_id is not None:
-        lines.append(f"id: {event_id}")
-    lines.append(f"event: {event}")
-    for chunk in body.splitlines() or [""]:
-        lines.append(f"data: {chunk}")
-    return ("\n".join(lines) + "\n\n").encode("utf-8")
+def sse_format(
+    event: str, data: Mapping[str, Any] | str | bytes, *, event_id: int | None = None
+) -> bytes:
+    """One wire-format server-sent event (``id:``/``event:``/``data:`` lines).
+
+    ``bytes`` are encoded JSON, split into ``data:`` lines on ``\\n`` with byte
+    operations only (JSON holds no raw newline inside a string), so a cache
+    entry streams without being parsed; SSE clients join the lines with
+    ``\\n`` and get the same JSON value back.
+    """
+    if not isinstance(data, bytes):
+        body = data if isinstance(data, str) else json.dumps(data, separators=(",", ":"))
+        data = "\n".join(body.splitlines() or [""]).encode("utf-8")
+    head = f"event: {event}\n" if event_id is None else f"id: {event_id}\nevent: {event}\n"
+    return head.encode("utf-8") + b"data: " + data.replace(b"\n", b"\ndata: ") + b"\n\n"
 
 
 class _Subscriber:
@@ -69,7 +74,7 @@ class RoundBroadcaster:
         self._subscribers: list[_Subscriber] = []
         self._sequence = 0
         self._closed = False
-        self._final: bytes | None = None  # the encoded ``final`` frame
+        self._final: bytes | Callable[[], bytes] | None = None  # the ``final`` frame
 
     # ------------------------------------------------------------------
     # Producer side (the job worker)
@@ -78,14 +83,17 @@ class RoundBroadcaster:
         """Queue one ``round`` event to every live subscriber (never blocks)."""
         self._emit("round", dict(record))
 
-    def close(self, final: Mapping[str, Any] | None = None) -> None:
-        """Mark the stream complete, optionally with a ``final`` event payload.
+    def close(self, final: Mapping[str, Any] | Callable[[], bytes] | None = None) -> None:
+        """Mark the stream complete, optionally with a ``final`` event.
 
-        The ``final`` frame is encoded here, once, and only its bytes are
-        kept: every subscriber gets the same frame, and no payload dict
-        outlives the job that produced it.
+        A payload is encoded here, once, and only the frame's bytes are kept:
+        every subscriber gets the same frame, and no payload dict outlives
+        the job that produced it. A zero-argument callable instead returns
+        the frame's bytes on demand: it is called once per subscriber, after
+        the history replay, so a frame read from durable storage (a cache
+        entry) is never held in memory.
         """
-        frame = sse_format("final", dict(final or {}))
+        frame = final if callable(final) else sse_format("final", dict(final or {}))
         with self._lock:
             if self._closed:
                 return
@@ -160,7 +168,8 @@ class RoundBroadcaster:
                     yield sse_format(event, data, event_id=sequence)
             if subscriber.dropped:
                 yield sse_format("dropped", {"events": subscriber.dropped})
-            yield self._final
+            final = self._final
+            yield final() if callable(final) else final
         finally:
             with self._lock:
                 if subscriber in self._subscribers:

@@ -316,6 +316,37 @@ class TestRoundBroadcaster:
         broadcaster.publish({"round": 1})
         assert broadcaster.events_published == 0
 
+    def test_callable_final_is_built_once_per_subscriber_after_the_replay(self):
+        broadcaster = RoundBroadcaster()
+        broadcaster.publish({"round": 1})
+        calls = []
+
+        def frame() -> bytes:
+            calls.append(len(calls))
+            return sse_format("final", b'{"n":\n%d}' % len(calls))
+
+        broadcaster.close(frame)
+        assert calls == []  # nothing is built until someone subscribes
+        for expected in (1, 2):
+            frames = list(broadcaster.subscribe())
+            assert len(calls) == expected
+            assert b"event: round" in frames[0]
+            assert frames[-1] == b'event: final\ndata: {"n":\ndata: %d}\n\n' % expected
+
+    def test_bytes_data_splits_into_lines_with_the_same_json_value(self):
+        document = {"records": [{"a": 1, "s": "line\nbreak \u00e9"}], "empty": {}}
+        encoded = json.dumps(document, indent=2).encode("utf-8")
+        frame = sse_format("final", encoded)
+        lines = frame.decode("utf-8").split("\n")
+        assert lines[0] == "event: final" and lines[-2:] == ["", ""]
+        data = lines[1:-2]
+        assert len(data) == encoded.count(b"\n") + 1
+        assert all(line.startswith("data: ") for line in data)
+        assert json.loads("\n".join(line[6:] for line in data)) == document
+        # Mappings and strings encode as they always have.
+        assert sse_format("e", "a\r\nb") == b"event: e\ndata: a\ndata: b\n\n"
+        assert sse_format("e", "") == b"event: e\ndata: \n\n"
+
 
 # ======================================================================
 # Rate limiting
@@ -344,6 +375,61 @@ class TestTokenBucketLimiter:
         limiter = TokenBucketLimiter(rate=None)
         assert all(limiter.check("a") is None for _ in range(100))
 
+    def test_idle_clients_buckets_are_dropped(self):
+        clock = [0.0]
+        limiter = TokenBucketLimiter(rate=1.0, burst=2, clock=lambda: clock[0])
+        for client in ("a", "b", "c"):
+            assert limiter.check(client) is None
+        assert sorted(limiter._buckets) == ["a", "b", "c"]
+        clock[0] = 0.5  # half a token back: nobody is full yet
+        assert limiter.check("d") is None
+        assert sorted(limiter._buckets) == ["a", "b", "c", "d"]
+        clock[0] = 1.0  # a, b and c have refilled to burst; d has not
+        assert limiter.check("e") is None
+        assert sorted(limiter._buckets) == ["d", "e"]
+        clock[0] = 1e6  # one more arrival after a long idle spell keeps one bucket
+        assert limiter.check("f") is None
+        assert sorted(limiter._buckets) == ["f"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pruning_never_changes_an_answer(self, seed):
+        """A seeded random submission sequence gets the same admit/reject
+        answers, retry hints included, as a limiter that never prunes."""
+        import random
+
+        rng = random.Random(seed)
+        rate, burst = rng.choice([0.5, 1.0, 3.0, 10.0]), rng.randint(1, 5)
+
+        class NeverPrunes:
+            def __init__(self):
+                self.buckets = {}
+
+            def check(self, client, now):
+                tokens, stamp = self.buckets.get(client, (float(burst), now))
+                tokens = min(float(burst), tokens + (now - stamp) * rate)
+                if tokens >= 1.0:
+                    self.buckets[client] = (tokens - 1.0, now)
+                    return None
+                self.buckets[client] = (tokens, now)
+                return (1.0 - tokens) / rate
+
+        clock = [0.0]
+        limiter = TokenBucketLimiter(rate=rate, burst=burst, clock=lambda: clock[0])
+        reference = NeverPrunes()
+        # A few busy clients, and many occasional ones whose arrivals prune.
+        busy = [f"10.0.0.{index}" for index in range(rng.randint(1, 8))]
+        occasional = [f"10.0.1.{index}" for index in range(200)]
+        answers, pruned = [], 0
+        for _ in range(3000):
+            clock[0] += rng.choice([0.0, 0.0, 0.0, rng.expovariate(4.0 * rate), rng.expovariate(rate / 8)])
+            client = rng.choice(busy if rng.random() < 0.8 else occasional)
+            answer = limiter.check(client)
+            assert answer == reference.check(client, clock[0])
+            answers.append(answer is None)
+            pruned += len(limiter._buckets) < len(reference.buckets)
+        assert any(answers) and not all(answers)  # both answers were exercised
+        assert pruned  # ... and so was pruning
+
 
 # ======================================================================
 # JobManager
@@ -361,6 +447,23 @@ def drain(manager: JobManager, *jobs, timeout: float = 60.0) -> None:
         if time.monotonic() > end:
             raise TimeoutError([job.status for job in jobs])
         deadline.wait(0.02)
+
+
+def final_event(job) -> dict:
+    """The ``final`` event a new subscriber to ``job`` receives, parsed as an
+    SSE client parses it: the ``data:`` lines joined with ``\\n``."""
+    assert job.broadcaster.closed, f"{job.id} is {job.status}; its stream is still open"
+    lines = list(job.broadcaster.subscribe())[-1].decode("utf-8").split("\n")
+    assert lines[0] == "event: final" and lines[-2:] == ["", ""]
+    assert all(line.startswith("data: ") for line in lines[1:-2])
+    return json.loads("\n".join(line[6:] for line in lines[1:-2]))
+
+
+def stored_entry(cache: RunCache, payload=TINY) -> tuple[str, dict]:
+    """Store a stand-in result under ``payload``'s key; returns (key, parsed entry)."""
+    key = Submission.from_payload(payload).cache_key(cache, RunContext())
+    cache.store(key, {"records": [{"round": 1, "note": "a\nb \u00e9"}], "summary": {}})
+    return key, json.loads(cache.path_for(key).read_bytes())
 
 
 class TestJobManager:
@@ -471,9 +574,10 @@ class TestJobManager:
         )
 
     def test_finished_hit_jobs_retain_less_than_their_cache_entry(self, tmp_path):
-        """The tracemalloc regression gate: a finished job keeps its record,
-        its key and its encoded final frame, never a payload dict, so each
-        hit job of a large payload retains less than its cache entry."""
+        """The tracemalloc regression gate: a finished job keeps its record
+        and its key, never a payload dict or an encoded final frame, so each
+        hit job of a large payload retains under a quarter of its cache
+        entry."""
         import gc
         import tracemalloc
 
@@ -495,8 +599,102 @@ class TestJobManager:
 
         assert [job.result_status for job in jobs] == ["hit"] * 24
         per_job = (after - before) / len(jobs)
-        assert per_job < entry_bytes, f"{per_job:.0f} B retained per job, entry is {entry_bytes} B"
+        assert per_job < entry_bytes / 4, f"{per_job:.0f} B retained per job, entry is {entry_bytes} B"
         assert all(job.result is None for job in warm + jobs)
+
+    def test_hit_is_done_at_submission(self, tmp_path, monkeypatch):
+        """A submission whose entry exists and parses is a finished hit before
+        ``submit`` returns, with no worker running: one record write, the
+        usual counters, and a stream whose final event carries the entry."""
+        import repro.serve.jobs as jobs_module
+
+        writes = []
+        real_write = jobs_module.atomic_write_text
+        monkeypatch.setattr(
+            jobs_module, "atomic_write_text", lambda path, text: (writes.append(path), real_write(path, text))
+        )
+        cache = RunCache(tmp_path / "cache")
+        key, entry = stored_entry(cache)
+        manager = JobManager(cache=cache, jobs_dir=tmp_path / "jobs", workers=1)  # never started
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder):
+            job = manager.submit(TINY)
+        assert (job.status, job.result_status, job.key) == ("done", "hit", key)
+        assert job.started == job.finished == job.created
+        assert writes == [tmp_path / "jobs" / f"{job.id}.json"]
+        record = json.loads(writes[0].read_text())
+        assert (record["status"], record["result_status"]) == ("done", "hit")
+        assert manager.health()["queue_depth"] == 0
+        summary = recorder.summary()
+        assert summary["counters"] == {
+            "cache.hits": 1,
+            "serve.jobs.completed": 1,
+            "serve.jobs.hit": 1,
+            "serve.jobs.submitted": 1,
+        }
+        assert "serve.job_seconds" not in summary["timers"]  # no worker ran it
+        assert final_event(job) == {"job": job.id, "status": "done", "result_status": "hit", "result": entry}
+        assert manager.result_bytes(job.id) == cache.path_for(key).read_bytes()
+
+    def test_corrupt_entry_queues_and_recomputes(self, tmp_path):
+        """A corrupt entry is never a hit: the job queues, the worker removes
+        and recomputes the entry, and the miss is counted once."""
+        cache = RunCache(tmp_path / "cache")
+        key, _ = stored_entry(cache)
+        cache.path_for(key).write_bytes(b'{"records": [')
+        manager = JobManager(cache=cache, workers=1)
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder):
+            job = manager.submit(TINY)
+            assert job.status == "queued" and manager.health()["queue_depth"] == 1
+            drain(manager, job)
+            manager.stop()
+        assert (job.status, job.result_status) == ("done", "computed")
+        counters = recorder.summary()["counters"]
+        assert counters["cache.corrupt_recovered"] == 1 and counters["cache.misses"] == 1
+        assert "cache.hits" not in counters
+        expected = dumps(run_submission(tiny_submission())[0]).encode("utf-8")
+        assert manager.result_bytes(job.id) == cache.path_for(key).read_bytes() == expected
+
+    def test_hit_needs_no_queue_slot(self, tmp_path):
+        cache = RunCache(tmp_path / "cache")
+        stored_entry(cache)
+        manager = JobManager(cache=cache, queue_depth=1, workers=1)  # never started
+        assert manager.submit({**TINY, "seed": 1}).status == "queued"  # the queue is full
+        assert manager.submit(TINY).status == "done"
+        with pytest.raises(QueueFullError):
+            manager.submit({**TINY, "seed": 2})
+
+    def test_final_event_is_the_entry_for_computed_hit_and_restored_jobs(self, tmp_path):
+        cache = RunCache(tmp_path / "cache")
+        manager = JobManager(cache=cache, jobs_dir=tmp_path / "jobs", workers=1)
+        computed = manager.submit(TINY)
+        drain(manager, computed)
+        manager.stop()
+        hit = manager.submit(TINY)
+        entry = json.loads(cache.path_for(computed.key).read_bytes())
+        reborn = JobManager(cache=cache, jobs_dir=tmp_path / "jobs", workers=1)
+        for owner, job, status in [
+            (manager, computed, "computed"),
+            (manager, hit, "hit"),
+            (reborn, reborn.get(computed.id), "computed"),
+            (reborn, reborn.get(hit.id), "hit"),
+        ]:
+            assert job.status == "done" and job.result is None
+            assert final_event(job) == {"job": job.id, "status": "done", "result_status": status, "result": entry}
+            assert owner.result(job.id) == entry
+
+    def test_deleted_entry_yields_a_final_event_without_result(self, tmp_path):
+        cache = RunCache(tmp_path / "cache")
+        key, _ = stored_entry(cache)
+        manager = JobManager(cache=cache, jobs_dir=tmp_path / "jobs", workers=1)
+        job = manager.submit(TINY)
+        cache.path_for(key).unlink()
+        reborn = JobManager(cache=cache, jobs_dir=tmp_path / "jobs", workers=1)
+        for owner in (manager, reborn):
+            assert final_event(owner.get(job.id)) == {"job": job.id, "status": "done", "result_status": "hit"}
+            with pytest.raises(ValueError, match="no retrievable payload"):
+                owner.result_bytes(job.id)
 
     def test_cacheless_manager_keeps_and_encodes_its_payload(self):
         manager = JobManager(workers=1)
@@ -758,6 +956,39 @@ class TestHTTPDaemon:
             assert_gone(live, job["id"])
         with serving(state_manager(tmp_path)) as restarted:
             assert_gone(restarted, job["id"])
+
+    def test_request_latency_is_timed_per_route(self, tmp_path):
+        """Each routed request records ``serve.http.request_seconds``,
+        labelled by its route, once the handler has answered."""
+        import time
+
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder), serving(state_manager(tmp_path)) as base:
+            http_json(base, "/healthz")
+            _, job = http_json(base, "/jobs", method="POST", body=TINY)
+            wait_done(base, job["id"])
+            _, again = http_json(base, "/jobs", method="POST", body=TINY)
+            http_bytes(base, f"/jobs/{again['id']}/stream")
+            http_bytes(base, f"/jobs/{again['id']}/result")
+            for path in ("/jobs/job-999999", "/nope"):
+                with pytest.raises(urllib.error.HTTPError):
+                    http_json(base, path)
+            # At least: wait_done polls GET /jobs/{id} once or more, plus the 404.
+            least = {"GET /healthz": 1, "POST /jobs": 2, "GET /jobs/{id}/stream": 1,
+                     "GET /jobs/{id}/result": 1, "GET /jobs/{id}": 2}
+            end = time.monotonic() + 30.0
+            while True:  # a handler records its timer just after its response is sent
+                timers = recorder.summary()["timers"]
+                counts = {
+                    key[len("serve.http.request_seconds[route="):-1]: stats["count"]
+                    for key, stats in timers.items()
+                    if key.startswith("serve.http.request_seconds")
+                }
+                if all(counts.get(route, 0) >= n for route, n in least.items()) or time.monotonic() > end:
+                    break
+                time.sleep(0.01)
+        assert counts.pop("GET /jobs/{id}") >= least.pop("GET /jobs/{id}")
+        assert counts == least  # and nothing for the unrouted path
 
     def test_unknown_routes_and_jobs_are_404(self, daemon):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
