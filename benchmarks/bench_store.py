@@ -14,13 +14,7 @@ perturbing a single byte. This benchmark is the observatory for both:
 2. **Limit gate**: a ``limit``-ed streaming query must beat the old
    full-scan-then-slice by at least ``MIN_LIMIT_SPEEDUP``, because the
    generator stops before later segments are even opened.
-3. **Parquet projection gate**: when pyarrow is installed, a
-   column-projected query over a Parquet store must beat the same query
-   reading full rows (projection skips whole column chunks). Without
-   pyarrow the gate is *skipped loudly* — the report records the skip so
-   a CI image silently losing pyarrow shows up in the artifact, not as a
-   green gate.
-4. **Shard-merge identity gate**: a real (tiny) sweep run as two shards
+3. **Shard-merge identity gate**: a real (tiny) sweep run as two shards
    and merged must be byte-for-byte identical, file by file, to the same
    sweep run unsharded.
 
@@ -52,21 +46,12 @@ SEGMENTS = 64
 ROWS_PER_SEGMENT = 3_200  # 64 x 3200 = 204,800 rows, past the 200k floor
 MEMORY_RATIO_MAX = 0.25
 MIN_LIMIT_SPEEDUP = 3.0
-MIN_PROJECTION_SPEEDUP = 1.0
 LIMIT = 500
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
 
-try:  # pragma: no cover - exercised only where pyarrow is installed
-    import pyarrow  # noqa: F401
-
-    HAVE_PYARROW = True
-except ImportError:
-    HAVE_PYARROW = False
-
-
-def build_store(root: Path, *, fmt: str = "ndjson") -> ResultStore:
+def build_store(root: Path) -> ResultStore:
     """A >= 200k-row store of synthetic sweep-shaped rows, many segments wide."""
-    store = ResultStore(root, fmt=fmt)
+    store = ResultStore(root)
     counter = 0
     for segment_index in range(SEGMENTS):
         rows = []
@@ -95,7 +80,7 @@ def materialized_select(store: ResultStore, *, where=None, columns=None, limit=N
     """
     rows = []
     for segment in store.segments():
-        rows.extend(store._read_segment(segment))
+        rows.extend(store.read_segment(segment))
     if where:
         rows = [row for row in rows if _matches(row, where)]
     if columns is not None:
@@ -159,25 +144,6 @@ def measure_limit(store: ResultStore) -> dict:
     }
 
 
-def measure_parquet_projection(root: Path) -> dict:  # pragma: no cover - needs pyarrow
-    """Gate 3: column projection on a Parquet store vs full-row reads."""
-    store = build_store(root, fmt="parquet")
-    projected = {"columns": ["value"], "where": {"parity": 0}}
-    speedup = interleaved_best_speedup(
-        lambda: list(store.iter_select(where={"parity": 0})),
-        lambda: list(store.iter_select(**projected)),
-        repeats=3,
-    )
-    seconds = median_of(lambda: list(store.iter_select(**projected)), repeats=3)
-    print(f"parquet projection: {seconds:8.5f}s, speedup {speedup:6.2f}x over full rows")
-    return {
-        "workload": "parquet projected filter",
-        "backend": "iter_select+pushdown",
-        "median_seconds": seconds,
-        "speedup": speedup,
-    }
-
-
 def _tiny_spec() -> SweepSpec:
     return SweepSpec(
         name="bench-shard",
@@ -208,7 +174,7 @@ def _store_files(root: Path) -> dict:
 
 
 def measure_shard_merge(workdir: Path) -> dict:
-    """Gate 4: two shards merged == one unsharded run, byte for byte."""
+    """Gate 3: two shards merged == one unsharded run, byte for byte."""
     spec = _tiny_spec()
     unsharded = workdir / "unsharded"
     run_sweep_spec(spec, cache=RunCache(workdir / "cache-u"), store=ResultStore(unsharded))
@@ -245,20 +211,15 @@ def run_benchmark(output_path: Path | None = None) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench-store-") as tmp:
         workdir = Path(tmp)
         store = build_store(workdir / "big-store")
-        records = [measure_memory(store), measure_limit(store)]
-        if HAVE_PYARROW:  # pragma: no cover - needs pyarrow
-            records.append(measure_parquet_projection(workdir / "parquet-store"))
-            parquet_gate = "measured"
-        else:
-            parquet_gate = "SKIPPED (pyarrow not installed)"
-            print(f"parquet projection gate: {parquet_gate}")
-        records.append(measure_shard_merge(workdir / "shards"))
+        records = [
+            measure_memory(store),
+            measure_limit(store),
+            measure_shard_merge(workdir / "shards"),
+        ]
     gates = {
         "rows": SEGMENTS * ROWS_PER_SEGMENT,
         "memory_ratio_max": MEMORY_RATIO_MAX,
         "min_limit_speedup": MIN_LIMIT_SPEEDUP,
-        "min_projection_speedup": MIN_PROJECTION_SPEEDUP,
-        "parquet_gate": parquet_gate,
     }
     path = write_bench_report(
         OUTPUT_PATH if output_path is None else output_path, "bench_store", gates, records
@@ -268,7 +229,7 @@ def run_benchmark(output_path: Path | None = None) -> dict:
 
 
 def test_out_of_core_store_meets_gates() -> None:
-    """Acceptance gates: memory ratio, limit speedup, projection, byte identity."""
+    """Acceptance gates: memory ratio, limit speedup, byte identity."""
     payload = run_benchmark()
 
     memory = next(
@@ -286,18 +247,6 @@ def test_out_of_core_store_meets_gates() -> None:
         f"limit query speedup {limit_record['speedup']:.2f}x is under "
         f"{MIN_LIMIT_SPEEDUP}x — the short-circuit is not short-circuiting"
     )
-
-    if HAVE_PYARROW:  # pragma: no cover - needs pyarrow
-        projection = next(
-            record
-            for record in payload["records"]
-            if record["backend"] == "iter_select+pushdown"
-        )
-        assert projection["speedup"] >= MIN_PROJECTION_SPEEDUP, (
-            f"parquet projection speedup {projection['speedup']:.2f}x shows no win"
-        )
-    else:
-        assert payload["gates"]["parquet_gate"].startswith("SKIPPED")
 
     merge_record = next(
         record for record in payload["records"] if record["backend"] == "merge_stores"

@@ -31,9 +31,9 @@ A complete, executable reproduction of Musco, Su, and Lynch,
   completed cell checkpointed so an interrupted sweep resumes with zero
   recomputation (:func:`run_sweep_spec`),
 * a persistent columnar result store (:mod:`repro.store`):
-  :class:`ResultStore` appends rows atomically and idempotently (Parquet
-  when pyarrow is present, NDJSON otherwise), records run provenance, and
-  serves queries and report regeneration without re-running simulations.
+  :class:`ResultStore` appends NDJSON rows atomically and idempotently,
+  records run provenance, and serves queries and report regeneration
+  without re-running simulations.
 
 Quickstart
 ----------

@@ -32,11 +32,6 @@ def empirical_epsilon(estimates: np.ndarray, truth: float, delta: float = 0.1) -
     return float(np.quantile(relative_errors(estimates, truth), 1.0 - delta))
 
 
-def empirical_failure_probability(estimates: np.ndarray, truth: float, epsilon: float) -> float:
-    """Fraction of estimates *outside* the ``(1 ± ε)`` band — the empirical δ."""
-    return 1.0 - fraction_within(estimates, truth, epsilon)
-
-
 def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares fit of ``y ≈ a · x^b`` in log-log space.
 
@@ -54,24 +49,9 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(np.exp(intercept)), float(slope)
 
 
-def summarize_estimates(estimates: np.ndarray, truth: float) -> dict[str, float]:
-    """Dictionary of the headline accuracy statistics of an estimate vector."""
-    errors = relative_errors(estimates, truth)
-    return {
-        "truth": float(truth),
-        "mean_estimate": float(np.mean(estimates)),
-        "mean_relative_error": float(np.mean(errors)),
-        "median_relative_error": float(np.median(errors)),
-        "p90_relative_error": float(np.quantile(errors, 0.9)),
-        "max_relative_error": float(np.max(errors)),
-    }
-
-
 __all__ = [
     "relative_errors",
     "fraction_within",
     "empirical_epsilon",
-    "empirical_failure_probability",
     "fit_power_law",
-    "summarize_estimates",
 ]

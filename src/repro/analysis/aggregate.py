@@ -9,9 +9,8 @@ min/max/sum/count), so aggregating a store query never holds the row set —
 ``repro store query --aggregate`` runs out-of-core on stores larger than
 memory. The one exception is ``median``, which buffers each group's scalar
 values (a float per row, still far below materialising whole rows).
-
-:func:`aggregate_records` is the materialised-input form; both produce the
-same numbers as the in-process experiment path without re-running anything.
+It produces the same numbers as the in-process experiment path without
+re-running anything.
 """
 
 from __future__ import annotations
@@ -223,23 +222,8 @@ def aggregate_stream(
     return out
 
 
-def aggregate_records(
-    records: Iterable[Mapping[str, Any]],
-    *,
-    by: Sequence[str] = (),
-    metrics: Sequence[tuple[str, str]] = (),
-) -> list[dict[str, Any]]:
-    """Aggregate materialised ``records``; see :func:`aggregate_stream`.
-
-    Kept as the list-in/list-out name existing callers use; the computation
-    is the streaming one, so both paths produce identical numbers.
-    """
-    return aggregate_stream(records, by=by, metrics=metrics)
-
-
 __all__ = [
     "StreamStats",
-    "aggregate_records",
     "aggregate_stream",
     "parse_metric",
     "statistic_names",

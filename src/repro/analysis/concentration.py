@@ -1,15 +1,9 @@
-"""Concentration inequalities and amplification helpers.
+"""Chernoff concentration helpers.
 
-These mirror the probabilistic tools in the paper's proofs:
-
-* the multiplicative Chernoff bound (used on the complete graph and in
-  Algorithm 4's analysis),
-* Chebyshev's inequality (used for the ring, Theorem 21, and for the network
-  size estimator, Theorem 27),
-* the sub-exponential / Bernstein-type tail of Lemma 18 (Proposition 2.3 of
-  [Wai15]) used with the moment bounds of Lemma 11,
-* median-of-means, the standard trick the paper invokes to turn a
-  Chebyshev-quality estimator into one with logarithmic dependence on 1/δ.
+These mirror the multiplicative Chernoff bound the paper uses on the
+complete graph and in Algorithm 4's analysis: the relative deviation it
+allows at a given mean and confidence, and the confidence interval it puts
+around an estimate.
 """
 
 from __future__ import annotations
@@ -29,28 +23,6 @@ def chernoff_deviation(mean: float, delta: float) -> float:
     require_positive(mean, "mean")
     require_probability(delta, "delta", allow_zero=False, allow_one=False)
     return math.sqrt(3.0 * math.log(2.0 / delta) / mean)
-
-
-def chebyshev_deviation(variance: float, delta: float) -> float:
-    """Absolute deviation Δ with ``P[|X - EX| >= Δ] <= δ`` from a variance bound."""
-    if variance < 0:
-        raise ValueError(f"variance must be non-negative, got {variance}")
-    require_probability(delta, "delta", allow_zero=False, allow_one=False)
-    return math.sqrt(variance / delta)
-
-
-def subexponential_deviation(sigma_squared: float, scale: float, delta: float) -> float:
-    """Absolute deviation Δ with ``P[|X - EX| >= Δ] <= δ`` under Lemma 18's condition.
-
-    Lemma 18 states ``P[|X - EX| >= Δ] <= 2·exp(-Δ²/(2(σ² + bΔ)))``; solving
-    the quadratic for Δ at failure probability δ gives
-    ``Δ = b·L + sqrt(b²L² + 2σ²L)`` with ``L = log(2/δ)``.
-    """
-    require_positive(sigma_squared, "sigma_squared")
-    require_positive(scale, "scale")
-    require_probability(delta, "delta", allow_zero=False, allow_one=False)
-    log_term = math.log(2.0 / delta)
-    return scale * log_term + math.sqrt((scale * log_term) ** 2 + 2.0 * sigma_squared * log_term)
 
 
 def chernoff_interval(
@@ -94,35 +66,7 @@ def chernoff_interval(
     return lower, upper
 
 
-def median_of_means(samples: np.ndarray, groups: int) -> float:
-    """Median of the means of ``groups`` contiguous blocks of ``samples``.
-
-    Boosts a constant-probability estimator to high probability with only a
-    logarithmic number of groups; used by the network size experiments.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("samples must be non-empty")
-    if groups < 1:
-        raise ValueError(f"groups must be >= 1, got {groups}")
-    groups = min(groups, samples.size)
-    blocks = np.array_split(samples, groups)
-    means = np.array([block.mean() for block in blocks])
-    return float(np.median(means))
-
-
-def hoeffding_samples(epsilon: float, delta: float) -> int:
-    """Samples of a [0, 1] variable needed for additive ε accuracy w.p. 1 - δ."""
-    require_probability(epsilon, "epsilon", allow_zero=False, allow_one=False)
-    require_probability(delta, "delta", allow_zero=False, allow_one=False)
-    return max(1, int(math.ceil(math.log(2.0 / delta) / (2.0 * epsilon**2))))
-
-
 __all__ = [
     "chernoff_deviation",
     "chernoff_interval",
-    "chebyshev_deviation",
-    "subexponential_deviation",
-    "median_of_means",
-    "hoeffding_samples",
 ]

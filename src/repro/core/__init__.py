@@ -24,7 +24,6 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "AdaptiveDensityEstimator": ".adaptive", "AdaptiveEstimate": ".adaptive",
-    "rounds_for_threshold": ".adaptive",
     "AnalyticSolution": ".analytic", "AnalyticUnsupportedError": ".analytic",
     "run_analytic": ".analytic",
     "solve_analytic": ".analytic:solve",
@@ -43,7 +42,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "AdaptiveDensityEstimator",
     "AdaptiveEstimate",
-    "rounds_for_threshold",
     "AnalyticSolution",
     "AnalyticUnsupportedError",
     "run_analytic",

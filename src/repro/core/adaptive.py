@@ -12,9 +12,6 @@ answer to both observations:
   around the running estimate is within the requested relative width. The
   number of rounds it ends up using automatically scales as ``~ 1/d`` — the
   agent walks longer in sparse environments without being told ``d``.
-* :func:`rounds_for_threshold` gives the fixed budget sufficient to decide a
-  threshold question (the Section 6.2 observation): it depends only on the
-  threshold ``θ`` and the separation margin, never on ``d``.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import bounds
 from repro.core.kernel import run_kernel
 from repro.core.simulation import SimulationConfig, resume_placement
 from repro.topology.base import Topology
@@ -152,17 +148,4 @@ class AdaptiveDensityEstimator:
         )
 
 
-def rounds_for_threshold(
-    threshold: float, margin: float, delta: float, *, constant: float = 1.0
-) -> int:
-    """Budget sufficient to decide "is d above θ?" for densities outside (1 ± margin)·θ.
-
-    The Section 6.2 observation: the budget is Theorem 1's bound evaluated at
-    the *threshold* density with ``ε = margin/2`` — it never references the
-    unknown true density.
-    """
-    require_probability(margin, "margin", allow_zero=False, allow_one=False)
-    return bounds.theorem1_rounds(threshold, margin / 2.0, delta, constant=constant)
-
-
-__all__ = ["AdaptiveEstimate", "AdaptiveDensityEstimator", "rounds_for_threshold"]
+__all__ = ["AdaptiveEstimate", "AdaptiveDensityEstimator"]

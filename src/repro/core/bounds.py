@@ -4,9 +4,7 @@ The functions are organised by where they appear:
 
 * Theorem 1 (2-D torus accuracy / round complexity),
 * Lemma 4 and its analogues (re-collision probability bounds per topology),
-* Lemma 19 (re-collision bound ⇒ accuracy, via the local mixing sum B(t)),
-* Theorem 21 (ring, variance/Chebyshev analysis),
-* Section 4.3–4.5 round bounds (k-D torus, expander, hypercube),
+* the local mixing sum B(t) per topology (Lemma 19, Sections 4.3–4.5),
 * Theorem 27 / Theorem 31 / Section 5.1.4 (network size estimation),
 * Theorem 32 (independent-sampling baseline).
 
@@ -150,72 +148,9 @@ def local_mixing_sum_hypercube(rounds: int, num_nodes: int) -> float:
     return 10.0 + rounds / math.sqrt(num_nodes)
 
 
-def lemma19_epsilon(
-    rounds: int | float, density: float, delta: float, local_mixing: float, *, constant: float = 1.0
-) -> float:
-    """Lemma 19: ``ε = O( sqrt(log(1/δ) / (t·d)) · B(t) )``."""
-    require_positive(rounds, "rounds")
-    require_positive(density, "density")
-    require_probability(delta, "delta", allow_zero=False, allow_one=False)
-    require_positive(local_mixing, "local_mixing")
-    return constant * math.sqrt(math.log(1.0 / delta) / (rounds * density)) * local_mixing
-
-
-# ----------------------------------------------------------------------
-# Section 4 round bounds per topology
-# ----------------------------------------------------------------------
-def ring_epsilon_theorem21(rounds: int | float, density: float, delta: float, *, constant: float = 1.0) -> float:
-    """Theorem 21 (ring, Chebyshev analysis): ``ε = O(sqrt(1/(t^{1/2}·d·δ)))``."""
-    require_positive(rounds, "rounds")
-    require_positive(density, "density")
-    require_probability(delta, "delta", allow_zero=False, allow_one=False)
-    return constant * math.sqrt(1.0 / (math.sqrt(rounds) * density * delta))
-
-
-def ring_rounds_theorem21(density: float, epsilon: float, delta: float, *, constant: float = 1.0) -> int:
-    """Theorem 21: ``t = Ω(1/(d ε² δ)²)`` rounds on the ring."""
-    require_positive(density, "density")
-    require_probability(epsilon, "epsilon", allow_zero=False, allow_one=False)
-    require_probability(delta, "delta", allow_zero=False, allow_one=False)
-    rounds = constant * (1.0 / (density * epsilon**2 * delta)) ** 2
-    return max(1, int(math.ceil(rounds)))
-
-
-def torus_kd_rounds(density: float, epsilon: float, delta: float, dims: int, *, constant: float = 1.0) -> int:
-    """Section 4.3: for ``k >= 3``, ``t = O_k(log(1/δ) / (dε²))`` matches independent sampling."""
-    require_integer(dims, "dims", minimum=3)
-    return independent_sampling_rounds(density, epsilon, delta, constant=constant)
-
-
-def expander_rounds(
-    density: float, epsilon: float, delta: float, lambda_value: float, *, constant: float = 1.0
-) -> int:
-    """Section 4.4: ``t = O(log(1/δ) / (dε²(1-λ)²))`` on a regular expander."""
-    require_in_range(lambda_value, "lambda_value", 0.0, 1.0)
-    if lambda_value >= 1.0:
-        raise ValueError("lambda_value must be < 1")
-    base = independent_sampling_rounds(density, epsilon, delta, constant=constant)
-    return max(1, int(math.ceil(base / (1.0 - lambda_value) ** 2)))
-
-
-def hypercube_rounds(density: float, epsilon: float, delta: float, *, constant: float = 1.0) -> int:
-    """Section 4.5: ``t = O(log(1/δ) / (dε²))`` on the hypercube (matches independent sampling)."""
-    return independent_sampling_rounds(density, epsilon, delta, constant=constant)
-
-
 # ----------------------------------------------------------------------
 # Theorem 32 / complete graph — independent sampling
 # ----------------------------------------------------------------------
-def independent_sampling_rounds(density: float, epsilon: float, delta: float, *, constant: float = 1.0) -> int:
-    """Theorem 32 / Chernoff: ``t = Θ(log(1/δ) / (dε²))`` rounds."""
-    require_positive(density, "density")
-    require_probability(epsilon, "epsilon", allow_zero=False, allow_one=False)
-    require_probability(delta, "delta", allow_zero=False, allow_one=False)
-    require_positive(constant, "constant")
-    rounds = constant * math.log(1.0 / delta) / (density * epsilon**2)
-    return max(1, int(math.ceil(rounds)))
-
-
 def independent_sampling_epsilon(rounds: int | float, density: float, delta: float, *, constant: float = 1.0) -> float:
     """Theorem 32: ``ε = O(sqrt(log(1/δ) / (t·d)))``."""
     require_positive(rounds, "rounds")
@@ -305,34 +240,6 @@ def katzir_walks_required(
     return max(2, int(math.ceil(walks)))
 
 
-# ----------------------------------------------------------------------
-# Generic concentration inequalities used by the proofs
-# ----------------------------------------------------------------------
-def chernoff_failure_probability(samples: int | float, success_probability: float, epsilon: float) -> float:
-    """Two-sided multiplicative Chernoff bound ``2·exp(-ε²·μ/3)`` with ``μ = samples·p``."""
-    require_positive(samples, "samples")
-    require_probability(success_probability, "success_probability", allow_zero=False)
-    require_probability(epsilon, "epsilon", allow_zero=False, allow_one=False)
-    mean = samples * success_probability
-    return min(1.0, 2.0 * math.exp(-(epsilon**2) * mean / 3.0))
-
-
-def chebyshev_failure_probability(variance: float, deviation: float) -> float:
-    """Chebyshev: ``P[|X - EX| >= Δ] <= Var/Δ²`` (capped at 1)."""
-    require_positive(deviation, "deviation")
-    if variance < 0:
-        raise ValueError(f"variance must be non-negative, got {variance}")
-    return min(1.0, variance / deviation**2)
-
-
-def subexponential_failure_probability(deviation: float, sigma_squared: float, scale: float) -> float:
-    """Lemma 18 (Bernstein-type): ``P[|X - EX| >= Δ] <= 2·exp(-Δ²/(2(σ² + bΔ)))``."""
-    require_positive(deviation, "deviation")
-    require_positive(sigma_squared, "sigma_squared")
-    require_positive(scale, "scale")
-    return min(1.0, 2.0 * math.exp(-(deviation**2) / (2.0 * (sigma_squared + scale * deviation))))
-
-
 __all__ = [
     "theorem1_epsilon",
     "theorem1_rounds",
@@ -346,20 +253,10 @@ __all__ = [
     "local_mixing_sum_torus_kd",
     "local_mixing_sum_expander",
     "local_mixing_sum_hypercube",
-    "lemma19_epsilon",
-    "ring_epsilon_theorem21",
-    "ring_rounds_theorem21",
-    "torus_kd_rounds",
-    "expander_rounds",
-    "hypercube_rounds",
-    "independent_sampling_rounds",
     "independent_sampling_epsilon",
     "per_agent_delta",
     "theorem27_walks_required",
     "theorem31_samples_required",
     "burn_in_steps",
     "katzir_walks_required",
-    "chernoff_failure_probability",
-    "chebyshev_failure_probability",
-    "subexponential_failure_probability",
 ]

@@ -307,18 +307,6 @@ def batched_marked_collision_counts(
     return batched_collision_profiles(positions, marked, num_nodes)[1]
 
 
-def collision_matrix(positions: np.ndarray) -> np.ndarray:
-    """Boolean matrix ``M[i, j] = True`` iff agents i and j share a node (i != j).
-
-    Quadratic in the number of agents; intended for tests and small examples
-    that need pairwise information, not for the simulation hot path.
-    """
-    positions = np.asarray(positions)
-    same = positions[:, None] == positions[None, :]
-    np.fill_diagonal(same, False)
-    return same
-
-
 __all__ = [
     "collision_counts",
     "marked_collision_counts",
@@ -327,7 +315,6 @@ __all__ = [
     "batched_collision_profiles",
     "batched_collision_profiles_linear",
     "batched_marked_collision_counts",
-    "collision_matrix",
     "linear_counting_block_rows",
     "linear_counting_is_faster",
     "LINEAR_COUNTING_CROSSOVER_FACTOR",

@@ -141,8 +141,8 @@ class RunCache:
         tel.counter("cache.hits")
         return payload
 
-    def peek(self, key: str) -> bool:
-        """Whether ``key`` has an entry that parses, counted as a hit if so.
+    def peek(self, key: str) -> int | None:
+        """The size in bytes of ``key``'s entry if it parses (a hit), else ``None``.
 
         Unlike :meth:`load`, a missing or corrupt entry counts nothing and
         stays where it is, so the caller's later :meth:`load` (or
@@ -150,13 +150,13 @@ class RunCache:
         """
         data = self.read_bytes(key)
         if data is None:
-            return False
+            return None
         try:
             json.loads(data.decode("utf-8"))
         except ValueError:
-            return False
+            return None
         get_telemetry().counter("cache.hits")
-        return True
+        return len(data)
 
     def store(self, key: str, payload: Mapping[str, Any]) -> Path:
         """Atomically write ``payload`` under ``key``; returns the entry path."""

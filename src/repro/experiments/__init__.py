@@ -23,7 +23,7 @@ from importlib import import_module
 from importlib.util import find_spec
 from typing import TYPE_CHECKING, Callable
 
-from repro.experiments.base import ExperimentResult, summarize_many
+from repro.experiments.base import ExperimentResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine import ExecutionEngine
@@ -157,4 +157,4 @@ def run_all(
     return {key: run_experiment(key, quick=quick, seed=seed, engine=engine) for key in EXPERIMENTS}
 
 
-__all__ = ["EXPERIMENTS", "ExperimentResult", "run_experiment", "run_all", "summarize_many"]
+__all__ = ["EXPERIMENTS", "ExperimentResult", "run_experiment", "run_all"]

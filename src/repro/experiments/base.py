@@ -15,7 +15,7 @@ measurement shows).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.utils.tables import format_records
 
@@ -53,9 +53,4 @@ class ExperimentResult:
         return len(self.records)
 
 
-def summarize_many(results: Mapping[str, ExperimentResult]) -> str:
-    """Concatenate the tables of several experiments (used by examples)."""
-    return "\n\n".join(result.to_table() for result in results.values())
-
-
-__all__ = ["ExperimentResult", "summarize_many"]
+__all__ = ["ExperimentResult"]

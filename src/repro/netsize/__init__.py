@@ -13,25 +13,15 @@ paper compares against in Section 5.1.5.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "available_generators": ".generators", "make_graph": ".generators",
-    "record_walk_paths": ".path_collisions", "same_round_collision_counts": ".path_collisions",
-    "path_intersection_counts": ".path_collisions", "size_estimate_from_paths": ".path_collisions",
     "GraphAccessOracle": ".oracle",
     "estimate_average_degree": ".degree", "estimate_inverse_average_degree": ".degree",
     "NetworkSizeEstimate": ".size_estimator", "estimate_network_size": ".size_estimator",
     "burn_in_walks": ".burn_in", "required_burn_in_steps": ".burn_in",
     "katzir_size_estimate": ".katzir",
     "NetworkSizeEstimationPipeline": ".pipeline", "PipelineReport": ".pipeline",
-    "median_amplified_estimate": ".pipeline",
 })
 
 __all__ = [
-    "available_generators",
-    "make_graph",
-    "record_walk_paths",
-    "same_round_collision_counts",
-    "path_intersection_counts",
-    "size_estimate_from_paths",
     "GraphAccessOracle",
     "estimate_average_degree",
     "estimate_inverse_average_degree",
@@ -42,5 +32,4 @@ __all__ = [
     "katzir_size_estimate",
     "NetworkSizeEstimationPipeline",
     "PipelineReport",
-    "median_amplified_estimate",
 ]

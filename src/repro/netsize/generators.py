@@ -4,8 +4,7 @@ Section 5.1 motivates the size-estimation algorithm with social networks,
 which are not available offline; these generators build the synthetic stand-
 ins used throughout the experiment suite (see the substitution table in
 DESIGN.md). Each generator returns a :class:`NetworkXTopology` ready for the
-oracle/pipeline machinery, and :func:`available_generators` exposes the menu
-so experiments and examples can iterate over graph families by name.
+oracle/pipeline machinery.
 """
 
 from __future__ import annotations
@@ -72,24 +71,10 @@ _GENERATORS: dict[str, GeneratorFn] = {
 }
 
 
-def available_generators() -> dict[str, GeneratorFn]:
-    """Mapping from generator name to generator function."""
-    return dict(_GENERATORS)
-
-
-def make_graph(name: str, **kwargs) -> NetworkXTopology:
-    """Build a graph family by name, e.g. ``make_graph("expander", size=500)``."""
-    if name not in _GENERATORS:
-        raise KeyError(f"unknown graph family {name!r}; known: {sorted(_GENERATORS)}")
-    return _GENERATORS[name](**kwargs)
-
-
 __all__ = [
     "expander_graph",
     "powerlaw_cluster_graph",
     "barabasi_albert_graph",
     "small_world_graph",
     "torus_3d_graph",
-    "available_generators",
-    "make_graph",
 ]

@@ -10,9 +10,7 @@ accounting:
 3. **Size estimation** — Algorithm 2 run for ``t`` further rounds
    (Theorem 27).
 
-The pipeline also provides the standard median-amplification trick the paper
-mentions after Theorem 27 (repeat with failure probability 1/3 and take the
-median) and reports the query count so experiments can reproduce the
+The pipeline reports the query count so experiments can reproduce the
 query-complexity comparison against [KLSC14] in Section 5.1.5.
 """
 
@@ -29,7 +27,7 @@ from repro.netsize.katzir import katzir_size_estimate
 from repro.netsize.oracle import GraphAccessOracle
 from repro.netsize.size_estimator import NetworkSizeEstimate, estimate_network_size
 from repro.topology.graph import NetworkXTopology
-from repro.utils.rng import SeedLike, as_generator, spawn_generators
+from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import require_integer, require_probability
 
 
@@ -187,47 +185,7 @@ class NetworkSizeEstimationPipeline:
         )
 
 
-def median_amplified_estimate(
-    pipeline: NetworkSizeEstimationPipeline,
-    repetitions: int = 5,
-    seed: SeedLike = None,
-) -> PipelineReport:
-    """Repeat the pipeline and return the median estimate (boosting trick).
-
-    The Chebyshev-based guarantee of Theorem 27 has a linear dependence on
-    ``1/δ``; the paper notes this can be reduced to logarithmic by running
-    ``log(1/δ)`` independent repetitions with failure probability 1/3 each
-    and taking the median. Query counts of all repetitions are summed.
-    """
-    require_integer(repetitions, "repetitions", minimum=1)
-    rngs = spawn_generators(seed, repetitions)
-    reports = [pipeline.run(rng) for rng in rngs]
-    finite = [r.size_estimate for r in reports if np.isfinite(r.size_estimate)]
-    if finite:
-        median_value = float(np.median(finite))
-    else:
-        median_value = float("inf")
-    total_queries = sum(r.link_queries for r in reports)
-    true_size = pipeline.topology.num_nodes
-    relative_error = (
-        float("inf") if not np.isfinite(median_value) else abs(median_value - true_size) / true_size
-    )
-    return PipelineReport(
-        size_estimate=median_value,
-        true_size=true_size,
-        relative_error=relative_error,
-        average_degree_estimate=float(np.median([r.average_degree_estimate for r in reports])),
-        true_average_degree=pipeline.topology.average_degree,
-        num_walks=pipeline.num_walks,
-        burn_in_steps=reports[0].burn_in_steps,
-        estimation_rounds=pipeline.rounds,
-        link_queries=total_queries,
-        details={"repetitions": repetitions, "individual_estimates": [r.size_estimate for r in reports]},
-    )
-
-
 __all__ = [
     "PipelineReport",
     "NetworkSizeEstimationPipeline",
-    "median_amplified_estimate",
 ]

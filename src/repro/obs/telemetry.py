@@ -40,12 +40,10 @@ Chunk refills and loop armings are events (``fastpath.chunk_refill``,
 The result store's streaming read path
 (:meth:`~repro.store.ResultStore.iter_select`) flushes one counter batch
 per completed query: ``store.segments_opened`` / ``store.segments_skipped``
-(part files actually read vs. rejected wholesale by pushdown),
+(part files actually read vs. rejected unopened), and
 ``store.rows_scanned`` vs. ``store.rows_returned`` (filter selectivity —
-how much I/O the query paid per row it kept), and ``store.pushdown_hits``
-(equality clauses the Parquet reader evaluated instead of Python). A
-``limit`` short-circuit shows up as ``segments_opened`` below the store's
-segment count.
+how much I/O the query paid per row it kept). A ``limit`` short-circuit
+shows up as ``segments_opened`` below the store's segment count.
 
 Worker *processes* spawned by the scheduler inherit the default no-op
 recorder: cross-process telemetry is deliberately parent-side (the parent

@@ -13,13 +13,12 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "SensorGrid": ".network",
     "TokenSampleResult": ".aggregation", "token_mean_estimate": ".aggregation",
-    "token_fraction_estimate": ".aggregation", "independent_sample_mean": ".aggregation",
+    "independent_sample_mean": ".aggregation",
 })
 
 __all__ = [
     "SensorGrid",
     "TokenSampleResult",
     "token_mean_estimate",
-    "token_fraction_estimate",
     "independent_sample_mean",
 ]

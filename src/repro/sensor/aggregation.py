@@ -51,29 +51,6 @@ def token_mean_estimate(
     )
 
 
-def token_fraction_estimate(
-    network: SensorGrid,
-    steps: int,
-    seed: SeedLike = None,
-    *,
-    threshold: float = 0.5,
-    start: int | None = None,
-) -> TokenSampleResult:
-    """Estimate the fraction of sensors whose reading exceeds ``threshold``."""
-    require_integer(steps, "steps", minimum=1)
-    visited = network.token_walk(steps, seed, start=start)
-    readings = network.readings_along(visited)
-    indicator = (readings >= threshold).astype(np.float64)
-    distinct = int(np.unique(visited).size)
-    return TokenSampleResult(
-        estimate=float(indicator.mean()),
-        true_value=network.true_fraction(threshold),
-        steps=steps,
-        distinct_sensors=distinct,
-        repeat_visit_fraction=1.0 - distinct / steps,
-    )
-
-
 def independent_sample_mean(
     network: SensorGrid, samples: int, seed: SeedLike = None
 ) -> TokenSampleResult:
@@ -100,6 +77,5 @@ def independent_sample_mean(
 __all__ = [
     "TokenSampleResult",
     "token_mean_estimate",
-    "token_fraction_estimate",
     "independent_sample_mean",
 ]

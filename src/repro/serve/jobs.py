@@ -25,12 +25,14 @@ bucket (:class:`RateLimitedError` → 429), each carrying a ``retry_after``
 hint.
 
 With a cache, a finished job's result *is* its cache entry: the job keeps
-its record and its key only, never the payload. A submission whose entry
-already exists and parses is a finished ``hit`` the moment it is submitted:
-it takes no queue slot and waits for no worker.
+its record, its key and the entry's size in bytes, never the payload. A
+submission whose entry already exists and parses is a finished ``hit`` the
+moment it is submitted: it takes no queue slot and waits for no worker.
 :meth:`~JobManager.result_bytes` hands out the entry's bytes unchanged, and
 each stream subscriber's final SSE frame is built from them on demand — the
-same bytes before and after a restart, with no re-encoding per request.
+same bytes before and after a restart, with no re-encoding per request. An
+entry whose length no longer matches the recorded size (truncated on disk
+after the job finished) counts as missing rather than being served.
 
 Job records persist as one JSON file per job under ``jobs_dir`` (atomic
 writes). On restart the manager reloads them: completed jobs keep their
@@ -145,6 +147,7 @@ class Job:
         self.error: str | None = None
         self.key: str | None = None
         self.result_status: str | None = None  # hit / computed / dedupe
+        self.entry_bytes: int | None = None  # size of the cache entry when it finished
         self.result: dict[str, Any] | None = None  # kept only without a cache
         self.broadcaster = RoundBroadcaster()
         self.cancel_requested = False
@@ -162,6 +165,7 @@ class Job:
             "error": self.error,
             "key": self.key,
             "result_status": self.result_status,
+            "entry_bytes": self.entry_bytes,
         }
 
 
@@ -249,7 +253,8 @@ class JobManager:
             payload if isinstance(payload, Submission) else Submission.from_payload(payload)
         )
         key = None if self.cache is None else submission.cache_key(self.cache, self.context)
-        hit = key is not None and self.cache.peek(key)
+        entry_bytes = None if key is None else self.cache.peek(key)
+        hit = entry_bytes is not None
         with self._lock:
             if not hit and len(self._queue) >= self.queue_depth:
                 tel.counter("serve.jobs.rejected_full")
@@ -261,6 +266,7 @@ class JobManager:
             if hit:
                 job.status, job.result_status = "done", "hit"
                 job.started = job.finished = job.created
+                job.entry_bytes = entry_bytes
                 job.broadcaster.close(functools.partial(self._final_frame, job))
                 tel.counter("serve.jobs.completed")
                 tel.counter("serve.jobs.hit")
@@ -294,8 +300,9 @@ class JobManager:
 
         Every request for a key gets the bytes the cache stored, before and
         after a restart. A manager without a cache encodes the payload it
-        kept. A deleted entry raises ``ValueError`` (HTTP 410), whether the
-        job finished in this process or was restored.
+        kept. A deleted entry, or one whose length differs from the size
+        recorded when the job finished, raises ``ValueError`` (HTTP 410),
+        whether the job finished in this process or was restored.
         """
         job, data = self._finished(job_id)
         tel = get_telemetry()
@@ -310,11 +317,11 @@ class JobManager:
 
         The entry is spliced in as ``result`` with byte operations only, so
         the event's JSON value is ``{"job", "status", "result_status",
-        "result": <payload>}`` with no parse or re-encode. A deleted entry
-        leaves the event without ``result``.
+        "result": <payload>}`` with no parse or re-encode. A deleted or
+        resized entry leaves the event without ``result``.
         """
         head = {"job": job.id, "status": "done", "result_status": job.result_status}
-        data = self.cache.read_bytes(job.key)
+        data = self._entry(job)
         if data is None:
             return sse_format("final", head)
         encoded = json.dumps(head, separators=(",", ":")).encode("utf-8")
@@ -327,10 +334,23 @@ class JobManager:
             raise ValueError(f"job {job_id} is {job.status}, not done")
         data = None
         if self.cache is not None and job.key is not None:
-            data = self.cache.read_bytes(job.key)
+            data = self._entry(job)
         if data is None and job.result is None:
             raise ValueError(f"job {job_id} has no retrievable payload")
         return job, data
+
+    def _entry(self, job: Job) -> bytes | None:
+        """The bytes of ``job``'s cache entry; ``None`` if it is gone or resized.
+
+        A length other than the size recorded when the job finished means the
+        entry changed on disk since (a truncated write, say), so it is not
+        the job's result. Records from before sizes were kept have none and
+        are served as they are.
+        """
+        data = self.cache.read_bytes(job.key)
+        if data is None or job.entry_bytes is None or len(data) == job.entry_bytes:
+            return data
+        return None
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a queued job; returns False once it is already running."""
@@ -439,6 +459,11 @@ class JobManager:
         else:
             # With a cache the entry is the result (see result_bytes).
             job.result = payload if self.cache is None else None
+            if self.cache is not None:
+                try:
+                    job.entry_bytes = self.cache.path_for(job.key).stat().st_size
+                except OSError:
+                    job.entry_bytes = None
             job.result_status = status
             job.status = "done"
             job.finished = time.time()
@@ -494,6 +519,7 @@ class JobManager:
             job.error = record.get("error")
             job.key = record.get("key")
             job.result_status = record.get("result_status")
+            job.entry_bytes = record.get("entry_bytes")
             status = record.get("status", "queued")
             if status == "running":
                 # The daemon died mid-run. The cache may or may not hold the

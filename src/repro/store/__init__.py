@@ -5,14 +5,12 @@ durably so reports and analyses can be regenerated without re-running any
 simulation:
 
 * :class:`ResultStore` — an append-only, schema-versioned store of row
-  segments. Each append is one atomically-written part file (Parquet when
-  ``pyarrow`` is installed, NDJSON otherwise — the on-disk format is pinned
-  per store at creation), so concurrent writers and killed processes never
-  leave a half-written segment, and re-appending an existing segment is a
-  no-op (idempotent resume).
+  segments. Each append is one atomically-written NDJSON part file, so
+  concurrent writers and killed processes never leave a half-written
+  segment, and re-appending an existing segment is a no-op (idempotent
+  resume).
 * a small query API — :meth:`ResultStore.iter_select` streams matching rows
-  segment by segment (NDJSON line-by-line; Parquet with column projection
-  and equality-filter pushdown) so queries run out-of-core,
+  segment by segment, line by line, so queries run out-of-core,
   :meth:`ResultStore.select` is its materialised form, and
   :meth:`ResultStore.export` streams CSV/NDJSON to disk — plus
   run-provenance metadata (package version, seed root, git SHA) recorded in
@@ -30,13 +28,12 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "STORE_SCHEMA_VERSION": ".store", "ResultStore": ".store", "StoreError": ".store",
-    "default_store_format": ".store", "merge_stores": ".store",
+    "merge_stores": ".store",
 })
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
     "ResultStore",
     "StoreError",
-    "default_store_format",
     "merge_stores",
 ]

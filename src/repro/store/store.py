@@ -5,7 +5,7 @@ On-disk layout::
     <root>/
       _schema.json             # schema version, format, provenance, columns
       segments/
-        <segment>.ndjson       # one part file per append (or .parquet)
+        <segment>.ndjson       # one part file per append
         <segment>.meta.json    # optional sidecar metadata for the segment
 
 Design constraints, in order:
@@ -21,9 +21,9 @@ Design constraints, in order:
    separators, column unions are kept sorted, and no wall-clock timestamps
    enter any file, so two runs of the same workload produce bit-identical
    stores regardless of worker count or completion order.
-4. **Zero hard dependencies** — Parquet via ``pyarrow`` when it is
-   installed, NDJSON otherwise. The format is pinned per store at creation
-   and validated on every open.
+4. **Zero dependencies** — segments are NDJSON, written and read with the
+   standard library. The schema document records the format, and every
+   open checks it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro import __version__
 from repro.obs.telemetry import get_telemetry
 from repro.utils.atomic import atomic_copy_file as _atomic_copy_file
 from repro.utils.atomic import atomic_text_writer as _atomic_text_writer
-from repro.utils.atomic import atomic_write_bytes as _atomic_write_bytes
 from repro.utils.atomic import atomic_write_text as _atomic_write_text
 from repro.utils.provenance import git_sha as _git_sha
 from repro.utils.serialization import csv_line, to_jsonable
@@ -48,23 +47,9 @@ STORE_SCHEMA_VERSION = 1
 
 _SEGMENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 
-try:  # pragma: no cover - exercised only where pyarrow is installed
-    import pyarrow as _pa
-    import pyarrow.parquet as _pq
-
-    _HAVE_PYARROW = True
-except ImportError:
-    _pa = _pq = None
-    _HAVE_PYARROW = False
-
 
 class StoreError(RuntimeError):
     """A store is unreadable, incompatible, or was asked to do the impossible."""
-
-
-def default_store_format() -> str:
-    """The best format this environment can write: parquet if available, else ndjson."""
-    return "parquet" if _HAVE_PYARROW else "ndjson"
 
 
 def _encode_row_ndjson(row: Mapping[str, Any]) -> str:
@@ -97,53 +82,6 @@ def _matches(row: Mapping[str, Any], where: Mapping[str, Any]) -> bool:
     return True
 
 
-def _parquet_pushdown(arrow_schema: Any, where: Mapping[str, Any]) -> tuple[list | None, int]:  # pragma: no cover
-    """The ``where`` clauses that can safely push into the Parquet reader.
-
-    Returns ``(filters, pushed)`` where ``filters`` is a pyarrow
-    ``read_table`` DNF filter list (or ``None``) and ``pushed`` counts the
-    clauses it covers. A clause is pushed only when reader-side equality
-    provably implies :func:`_matches` equality — numeric expected value
-    against a numeric (non-bool) column, bool against bool, or a
-    non-numeric string against a string column. Everything else (numeric
-    strings against string columns, cross-type comparisons) stays
-    reader-side: :func:`_matches` is re-applied to every returned row, so a
-    skipped clause costs I/O, never correctness.
-    """
-    filters: list[tuple[str, str, Any]] = []
-    pushed = 0
-    names = set(arrow_schema.names)
-    for key, expected in where.items():
-        if key not in names:
-            continue
-        column_type = arrow_schema.field(key).type
-        numeric_column = (
-            _pa.types.is_integer(column_type) or _pa.types.is_floating(column_type)
-        )
-        if isinstance(expected, bool):
-            if _pa.types.is_boolean(column_type):
-                filters.append((key, "==", expected))
-                pushed += 1
-            continue
-        if isinstance(expected, (int, float)):
-            if numeric_column:
-                filters.append((key, "==", expected))
-                pushed += 1
-            continue
-        if isinstance(expected, str):
-            try:
-                number = float(expected)
-            except ValueError:
-                if _pa.types.is_string(column_type) or _pa.types.is_large_string(column_type):
-                    filters.append((key, "==", expected))
-                    pushed += 1
-                continue
-            if numeric_column:
-                filters.append((key, "==", number))
-                pushed += 1
-    return (filters or None), pushed
-
-
 class ResultStore:
     """An append-only store of row segments with a small query API.
 
@@ -151,29 +89,17 @@ class ResultStore:
     ----------
     directory:
         Store root; created (with its schema document) on first append.
-    fmt:
-        ``"parquet"``, ``"ndjson"``, or ``None`` (default) for the best
-        format available. Only consulted when the store is *created*; an
-        existing store keeps the format pinned in its schema document, and
-        asking for a different one raises :class:`StoreError`.
+        Opening an existing store validates its schema document.
     """
 
-    def __init__(self, directory: str | Path, fmt: str | None = None):
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        if fmt is not None and fmt not in ("parquet", "ndjson"):
-            raise StoreError(f"unknown store format {fmt!r}; expected 'parquet' or 'ndjson'")
-        self._requested_format = fmt
         #: In-memory copy of the schema document. Safe to cache: the format
         #: and provenance are pinned at creation, and this process is the
         #: only writer of its own document updates. Spares one open+parse of
         #: _schema.json per segment operation.
         self._schema_cache: dict[str, Any] | None = None
-        schema = self._read_schema()
-        if schema is not None and fmt is not None and schema["format"] != fmt:
-            raise StoreError(
-                f"store at {self.directory} is pinned to format {schema['format']!r}, "
-                f"but {fmt!r} was requested"
-            )
+        self._read_schema()
 
     # ------------------------------------------------------------------
     # Schema / provenance
@@ -202,11 +128,10 @@ class ResultStore:
                 f"store at {self.directory} has schema version {version!r}; "
                 f"this build reads version {STORE_SCHEMA_VERSION}"
             )
-        if schema.get("format") not in ("parquet", "ndjson"):
-            raise StoreError(f"store schema pins unknown format {schema.get('format')!r}")
-        if schema["format"] == "parquet" and not _HAVE_PYARROW:
+        if schema.get("format") != "ndjson":
             raise StoreError(
-                f"store at {self.directory} is in parquet format but pyarrow is not installed"
+                f"store at {self.directory} is in format {schema.get('format')!r}; "
+                "this build reads only 'ndjson'"
             )
         self._schema_cache = schema
         return schema
@@ -236,7 +161,7 @@ class ResultStore:
             base_provenance.update(to_jsonable(provenance))
         schema = {
             "schema_version": STORE_SCHEMA_VERSION,
-            "format": self._requested_format or default_store_format(),
+            "format": "ndjson",
             "provenance": base_provenance,
         }
         self._write_schema(schema)
@@ -251,9 +176,6 @@ class ResultStore:
 
     def exists(self) -> bool:
         return self.schema_path.is_file()
-
-    def format(self) -> str:
-        return str(self.schema()["format"])
 
     def provenance(self) -> dict[str, Any]:
         """Run-provenance metadata recorded when the store was created."""
@@ -281,8 +203,7 @@ class ResultStore:
             raise StoreError(
                 f"segment names use [A-Za-z0-9._-] and must not start with '.', got {segment!r}"
             )
-        extension = "parquet" if self.format() == "parquet" else "ndjson"
-        return self.segments_dir / f"{segment}.{extension}"
+        return self.segments_dir / f"{segment}.ndjson"
 
     def has_segment(self, segment: str) -> bool:
         return self.exists() and self._segment_path(segment).exists()
@@ -319,16 +240,7 @@ class ResultStore:
             _atomic_write_text(
                 meta_path, json.dumps(to_jsonable(meta), indent=2, sort_keys=True) + "\n"
             )
-        normalised = [dict(to_jsonable(row)) for row in rows]
-        if self.format() == "parquet":  # pragma: no cover - needs pyarrow
-            table = _pa.Table.from_pylist(normalised)
-            import io
-
-            sink = io.BytesIO()
-            _pq.write_table(table, sink)
-            _atomic_write_bytes(path, sink.getvalue())
-        else:
-            _atomic_write_text(path, _encode_rows_ndjson(normalised))
+        _atomic_write_text(path, _encode_rows_ndjson([dict(to_jsonable(row)) for row in rows]))
         return True
 
     def read_meta(self, segment: str) -> dict[str, Any] | None:
@@ -349,21 +261,14 @@ class ResultStore:
         """Sorted names of all segments in the store."""
         if not self.segments_dir.is_dir():
             return []
-        extension = ".parquet" if self.format() == "parquet" else ".ndjson"
         return sorted(
-            entry.name[: -len(extension)]
+            entry.name[: -len(".ndjson")]
             for entry in self.segments_dir.iterdir()
-            if entry.name.endswith(extension)
+            if entry.name.endswith(".ndjson")
         )
 
     def read_segment(self, segment: str) -> list[dict[str, Any]]:
         """All rows of one segment, in append order."""
-        return self._read_segment(segment)
-
-    def _read_segment(self, segment: str) -> list[dict[str, Any]]:
-        if self.format() == "parquet":  # pragma: no cover - needs pyarrow
-            path = self._segment_path(segment)
-            return _pq.read_table(path).to_pylist()
         return list(self._iter_segment_ndjson(segment))
 
     def _iter_segment_ndjson(self, segment: str) -> Iterator[dict[str, Any]]:
@@ -386,93 +291,19 @@ class ResultStore:
         except OSError as error:
             raise StoreError(f"unreadable segment {segment!r}: {error}") from error
 
-    def _iter_segment_parquet(  # pragma: no cover - needs pyarrow
-        self,
-        segment: str,
-        *,
-        where: Mapping[str, Any] | None,
-        predicate: Callable[[Mapping[str, Any]], bool] | None,
-        columns: Sequence[str] | None,
-        stats: dict[str, int],
-    ) -> Iterator[dict[str, Any]]:
-        """Read one Parquet segment with column projection and filter pushdown.
-
-        Projection never drops a column a later stage needs: the ``where``
-        keys ride along so :func:`_matches` can re-check every row, and an
-        arbitrary ``predicate`` disables projection entirely. Pushdown only
-        narrows I/O (see :func:`_parquet_pushdown`); a ``where`` key missing
-        from the segment's schema rejects the whole segment unopened, since
-        ``_matches`` maps a missing key to ``False`` for every row.
-        """
-        path = self._segment_path(segment)
-        try:
-            parquet_file = _pq.ParquetFile(path)
-        except FileNotFoundError as error:
-            raise StoreError(f"segment {segment!r} does not exist") from error
-        except OSError as error:
-            raise StoreError(f"unreadable segment {segment!r}: {error}") from error
-        arrow_schema = parquet_file.schema_arrow
-        names = set(arrow_schema.names)
-        if where:
-            missing = [key for key in where if key not in names]
-            if missing:
-                stats["skipped"] += 1
-                stats["pushdown"] += 1
-                return
-        filters, pushed = _parquet_pushdown(arrow_schema, where or {})
-        read_columns: list[str] | None = None
-        if columns is not None and predicate is None:
-            wanted = set(columns) | set(where or {})
-            read_columns = sorted(wanted & names)
-        stats["opened"] += 1
-        stats["pushdown"] += pushed
-        table = _pq.read_table(path, columns=read_columns, filters=filters)
-        for row in table.to_pylist():
-            # Projected-away requested columns come back as None via the
-            # common projection step, matching the NDJSON path.
-            yield row
-
-    def _segment_row_stream(
-        self,
-        segment: str,
-        *,
-        where: Mapping[str, Any] | None,
-        predicate: Callable[[Mapping[str, Any]], bool] | None,
-        columns: Sequence[str] | None,
-        stats: dict[str, int],
-    ) -> Iterator[dict[str, Any]]:
-        if self.format() == "parquet":  # pragma: no cover - needs pyarrow
-            yield from self._iter_segment_parquet(
-                segment, where=where, predicate=predicate, columns=columns, stats=stats
-            )
-            return
-        stats["opened"] += 1
-        yield from self._iter_segment_ndjson(segment)
-
     def rows(self) -> Iterator[dict[str, Any]]:
         """All rows of the store, in (segment name, row) order."""
         for segment in self.segments():
-            if self.format() == "parquet":  # pragma: no cover - needs pyarrow
-                yield from self._read_segment(segment)
-            else:
-                yield from self._iter_segment_ndjson(segment)
+            yield from self._iter_segment_ndjson(segment)
 
     def _segment_row_count(self, segment: str) -> int:
         """Row count of one segment without decoding any row.
 
-        NDJSON counts non-blank lines; Parquet reads the footer's
-        ``num_rows``. Unreadable part files still surface as
+        Counts non-blank lines. Unreadable part files still surface as
         :class:`StoreError` — only *decoding* is skipped, not validation of
         the file's existence and readability.
         """
         path = self._segment_path(segment)
-        if self.format() == "parquet":  # pragma: no cover - needs pyarrow
-            try:
-                return int(_pq.ParquetFile(path).metadata.num_rows)
-            except FileNotFoundError as error:
-                raise StoreError(f"segment {segment!r} does not exist") from error
-            except (OSError, _pa.ArrowInvalid) as error:
-                raise StoreError(f"unreadable segment {segment!r}: {error}") from error
         total = 0
         try:
             with open(path, "rb") as handle:
@@ -486,7 +317,7 @@ class ResultStore:
         return total
 
     def count(self) -> int:
-        """Total row count, from line counts / Parquet footers — no row decoding."""
+        """Total row count, from line counts — no row decoding."""
         return sum(self._segment_row_count(segment) for segment in self.segments())
 
     def iter_select(
@@ -500,28 +331,26 @@ class ResultStore:
         """Stream rows matching the given filters, one segment at a time.
 
         The out-of-core form of :meth:`select`: segment part files are
-        opened lazily and never materialised whole (NDJSON decodes line by
-        line; Parquet reads with column projection and equality-filter
-        pushdown), so peak memory is one row — independent of store size.
+        opened lazily and decoded line by line, never materialised whole, so
+        peak memory is one row — independent of store size.
         ``limit`` short-circuits *before* later segments are opened. Rows
         come back in the same deterministic (segment, row) order as
         :meth:`select`.
 
         When telemetry is enabled the read path's counters are flushed on
         completion (including early exits): ``store.segments_opened``,
-        ``store.segments_skipped``, ``store.rows_scanned``,
-        ``store.rows_returned``, and ``store.pushdown_hits``.
+        ``store.segments_skipped``, ``store.rows_scanned`` and
+        ``store.rows_returned``.
         """
         tel = get_telemetry()
-        stats = {"opened": 0, "skipped": 0, "scanned": 0, "returned": 0, "pushdown": 0}
+        stats = {"opened": 0, "skipped": 0, "scanned": 0, "returned": 0}
         column_list = list(columns) if columns is not None else None
         try:
             if limit is not None and limit <= 0:
                 return
             for segment in self.segments():
-                for row in self._segment_row_stream(
-                    segment, where=where, predicate=predicate, columns=column_list, stats=stats
-                ):
+                stats["opened"] += 1
+                for row in self._iter_segment_ndjson(segment):
                     stats["scanned"] += 1
                     if where and not _matches(row, where):
                         continue
@@ -539,7 +368,6 @@ class ResultStore:
                 tel.counter("store.segments_skipped", stats["skipped"])
                 tel.counter("store.rows_scanned", stats["scanned"])
                 tel.counter("store.rows_returned", stats["returned"])
-                tel.counter("store.pushdown_hits", stats["pushdown"])
 
     def select(
         self,
@@ -627,18 +455,8 @@ def merge_stores(sources: Sequence[str | Path], into: str | Path) -> dict[str, A
         if not store.exists():
             raise StoreError(f"no store exists at {store.directory} (no _schema.json)")
         stores.append(store)
-    formats = sorted({store.format() for store in stores})
-    if len(formats) != 1:
-        raise StoreError(f"cannot merge stores of mixed formats {formats}")
-    fmt = formats[0]
     dest = ResultStore(into)
-    if dest.exists():
-        if dest.format() != fmt:
-            raise StoreError(
-                f"destination store at {dest.directory} is pinned to format "
-                f"{dest.format()!r}, but the sources are {fmt!r}"
-            )
-    else:
+    if not dest.exists():
         _atomic_copy_file(stores[0].schema_path, dest.schema_path)
     copied = 0
     skipped = 0
@@ -671,7 +489,7 @@ def merge_stores(sources: Sequence[str | Path], into: str | Path) -> dict[str, A
             copied += 1
     return {
         "into": str(dest.directory),
-        "format": fmt,
+        "format": "ndjson",
         "sources": len(stores),
         "segments_copied": copied,
         "segments_skipped": skipped,
@@ -683,6 +501,5 @@ __all__ = [
     "ResultStore",
     "StoreError",
     "STORE_SCHEMA_VERSION",
-    "default_store_format",
     "merge_stores",
 ]

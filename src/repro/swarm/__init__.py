@@ -7,8 +7,6 @@
   spurious detections) plus the bias correction for them.
 * :mod:`repro.swarm.placement` — initial placement distributions, including
   the clustered placements that break the uniform-placement assumption.
-* :mod:`repro.swarm.dispersion` — a density-guided dispersion routine
-  illustrating the coverage application sketched in Section 6.3.4.
 """
 
 from repro._lazy import lazy_exports
@@ -19,8 +17,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "NoisyCollisionModel": ".noise", "correct_noisy_estimate": ".noise",
     "uniform_placement": "repro.core.simulation",
     "clustered_placement": ".placement", "gaussian_blob_placement": ".placement",
-    "DispersionResult": ".dispersion", "disperse_swarm": ".dispersion",
-    "occupancy_imbalance": ".dispersion",
 })
 
 __all__ = [
@@ -33,7 +29,4 @@ __all__ = [
     "uniform_placement",
     "clustered_placement",
     "gaussian_blob_placement",
-    "DispersionResult",
-    "disperse_swarm",
-    "occupancy_imbalance",
 ]

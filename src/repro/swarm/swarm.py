@@ -19,7 +19,6 @@ from repro.core.results import DensityEstimationRun
 from repro.core.simulation import CollisionObservationModel, PlacementFn, uniform_placement
 from repro.swarm.noise import NoisyCollisionModel, correct_noisy_estimate
 from repro.topology.base import Topology
-from repro.topology.torus import Torus2D
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import require_integer, require_probability
 
@@ -185,19 +184,4 @@ class RobotSwarm:
         return run.estimates >= threshold
 
 
-def make_grid_swarm(
-    side: int,
-    num_robots: int,
-    groups: Mapping[str, float] | None = None,
-    seed: SeedLike = None,
-) -> RobotSwarm:
-    """Convenience constructor: a swarm on a ``side x side`` torus workspace."""
-    return RobotSwarm(
-        workspace=Torus2D(side),
-        num_robots=num_robots,
-        groups=dict(groups or {}),
-        seed=seed,
-    )
-
-
-__all__ = ["RobotSwarm", "SwarmDensityReport", "make_grid_swarm"]
+__all__ = ["RobotSwarm", "SwarmDensityReport"]

@@ -27,8 +27,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "SWEEP_SPEC_SCHEMA": ".spec", "GridAxis": ".spec", "ZipAxis": ".spec", "RandomAxis": ".spec",
     "TargetSpec": ".spec", "SweepSpec": ".spec", "axis_from_dict": ".spec", "expand_axes": ".spec",
-    "load_spec": ".spec", "parse_shard": ".spec", "save_spec": ".spec",
-    "shard_cell_indices": ".spec",
+    "load_spec": ".spec", "parse_shard": ".spec", "shard_cell_indices": ".spec",
     "SweepCell": ".runner", "SweepOutcome": ".runner", "compile_cells": ".runner",
     "run_sweep_spec": ".runner", "sweep_status": ".runner",
 })
@@ -46,7 +45,6 @@ __all__ = [
     "expand_axes",
     "load_spec",
     "parse_shard",
-    "save_spec",
     "shard_cell_indices",
     "compile_cells",
     "run_sweep_spec",

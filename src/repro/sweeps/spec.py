@@ -421,13 +421,6 @@ def load_spec(path: str | Path) -> SweepSpec:
     return SweepSpec.from_dict(payload)
 
 
-def save_spec(spec: SweepSpec, path: str | Path) -> None:
-    """Write a :class:`SweepSpec` to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(spec.to_dict(), handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
 __all__ = [
     "SWEEP_SPEC_SCHEMA",
     "Axis",
@@ -442,6 +435,5 @@ __all__ = [
     "expand_axes",
     "load_spec",
     "parse_shard",
-    "save_spec",
     "shard_cell_indices",
 ]

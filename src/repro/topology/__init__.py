@@ -28,8 +28,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "CompleteGraph": ".complete",
     "RegularExpander": ".expander",
     "NetworkXTopology": ".graph",
-    "second_eigenvalue_magnitude": ".spectral", "spectral_gap": ".spectral",
-    "mixing_time_upper_bound": ".spectral", "transition_matrix": ".spectral",
+    "second_eigenvalue_magnitude": ".spectral", "transition_matrix": ".spectral",
 })
 
 __all__ = [
@@ -44,7 +43,5 @@ __all__ = [
     "RegularExpander",
     "NetworkXTopology",
     "second_eigenvalue_magnitude",
-    "spectral_gap",
-    "mixing_time_upper_bound",
     "transition_matrix",
 ]

@@ -13,7 +13,6 @@ pure Python + NumPy.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
 
 import numpy as np
 
@@ -222,9 +221,4 @@ class RegularTopology(Topology):
         return np.full(np.shape(nodes), self.degree, dtype=np.int64)
 
 
-def as_node_array(nodes: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Convert a node sequence to a contiguous ``int64`` array."""
-    return np.ascontiguousarray(np.asarray(nodes, dtype=np.int64))
-
-
-__all__ = ["Topology", "RegularTopology", "as_node_array"]
+__all__ = ["Topology", "RegularTopology"]

@@ -1,10 +1,9 @@
-"""Spectral utilities: walk matrices, eigenvalues, and mixing-time bounds.
+"""Spectral utilities: walk matrices and their second eigenvalue.
 
 The paper's expander bound (Lemma 23) and the burn-in analysis of the
 network-size estimator (Section 5.1.4) are parameterised by
 ``λ = max(|λ₂|, |λ_A|)`` of the random-walk matrix. These helpers compute the
-walk matrix of any topology, its second eigenvalue magnitude, and the
-standard mixing-time upper bound ``O(log(1/ε') / (1 - λ))``.
+walk matrix of any topology and its second eigenvalue magnitude.
 """
 
 from __future__ import annotations
@@ -83,36 +82,7 @@ def second_eigenvalue_magnitude(topology: Topology) -> float:
     return float(np.max(np.abs(remaining)))
 
 
-def spectral_gap(topology: Topology) -> float:
-    """``1 - λ`` of the topology's walk matrix."""
-    return 1.0 - second_eigenvalue_magnitude(topology)
-
-
-def mixing_time_upper_bound(lambda_value: float, epsilon: float = 1e-3) -> int:
-    """Rounds after which the walk is within ``epsilon`` of stationarity.
-
-    Standard bound ``t >= log(1/epsilon) / (1 - λ)`` (cf. [Lov93] Theorem 5.1
-    as used in Section 5.1.4). Returns at least 1.
-    """
-    if not 0 <= lambda_value < 1:
-        raise ValueError(f"lambda_value must lie in [0, 1), got {lambda_value}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if lambda_value == 0:
-        return 1
-    return max(1, int(np.ceil(np.log(1.0 / epsilon) / (1.0 - lambda_value))))
-
-
-def stationary_distribution(topology: Topology) -> np.ndarray:
-    """Stationary distribution of the walk: degree(v) / (2|E|)."""
-    degrees = np.asarray(topology.degree_of(np.arange(topology.num_nodes)), dtype=np.float64)
-    return degrees / degrees.sum()
-
-
 __all__ = [
     "transition_matrix",
     "second_eigenvalue_magnitude",
-    "spectral_gap",
-    "mixing_time_upper_bound",
-    "stationary_distribution",
 ]

@@ -58,23 +58,6 @@ def atomic_text_writer(path: str | Path, *, encoding: str = "utf-8") -> Iterator
         raise
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Atomically publish ``data`` at ``path`` (parent created if needed)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-
-
 def atomic_copy_file(src: str | Path, dst: str | Path) -> None:
     """Atomically publish a byte-for-byte copy of ``src`` at ``dst``.
 
@@ -97,4 +80,4 @@ def atomic_copy_file(src: str | Path, dst: str | Path) -> None:
         raise
 
 
-__all__ = ["atomic_write_text", "atomic_text_writer", "atomic_write_bytes", "atomic_copy_file"]
+__all__ = ["atomic_write_text", "atomic_text_writer", "atomic_copy_file"]

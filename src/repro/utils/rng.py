@@ -86,32 +86,10 @@ def spawn_seed_sequences(seed: SeedLike, count: int) -> list[np.random.SeedSeque
     return list(as_seed_sequence(seed).spawn(count))
 
 
-def random_seed_from(rng: np.random.Generator) -> int:
-    """Draw a fresh integer seed from an existing generator."""
-    return int(rng.integers(0, 2**63 - 1))
-
-
-def permutation_without_replacement(
-    rng: np.random.Generator, population: int, size: int
-) -> np.ndarray:
-    """Sample ``size`` distinct integers from ``range(population)``.
-
-    Thin wrapper over ``Generator.choice`` with validation, used when
-    placing agents on distinct nodes.
-    """
-    if size > population:
-        raise ValueError(
-            f"cannot draw {size} distinct values from a population of {population}"
-        )
-    return rng.choice(population, size=size, replace=False)
-
-
 __all__ = [
     "SeedLike",
     "as_generator",
     "as_seed_sequence",
     "spawn_generators",
     "spawn_seed_sequences",
-    "random_seed_from",
-    "permutation_without_replacement",
 ]

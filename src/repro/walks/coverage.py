@@ -3,38 +3,14 @@
 The sensor-network application (Section 6.3.1) and the swarm exploration
 sketch (Section 6.3.4) both care about how much ground a walk covers and how
 much effort is wasted on repeat visits. Corollary 15 says repeat visits on
-the torus are rare in expectation; these helpers measure the full
-distribution so the E16 sensor experiment and the coverage-oriented tests
-have something concrete to check against.
+the torus are rare in expectation; these helpers measure both on a recorded
+walk path so the E16 sensor experiment has something concrete to check
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from repro.topology.base import Topology
-from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import require_integer
-from repro.walks.single import walk_paths
-
-
-@dataclass(frozen=True)
-class CoverageStatistics:
-    """Coverage summary of a set of walks of equal length."""
-
-    steps: int
-    mean_distinct_nodes: float
-    mean_repeat_fraction: float
-    min_distinct_nodes: int
-    max_distinct_nodes: int
-    trials: int
-
-    @property
-    def mean_coverage_rate(self) -> float:
-        """Average number of *new* nodes discovered per step."""
-        return self.mean_distinct_nodes / self.steps
 
 
 def distinct_nodes_visited(path: np.ndarray) -> int:
@@ -57,37 +33,7 @@ def repeat_visit_fraction(path: np.ndarray) -> float:
     return 1.0 - new_nodes / steps
 
 
-def coverage_statistics(
-    topology: Topology,
-    steps: int,
-    trials: int = 200,
-    seed: SeedLike = None,
-) -> CoverageStatistics:
-    """Coverage statistics of ``trials`` independent ``steps``-step walks.
-
-    Walks start at independent uniformly random nodes (matching the model's
-    placement assumption).
-    """
-    require_integer(steps, "steps", minimum=1)
-    require_integer(trials, "trials", minimum=1)
-    rng = as_generator(seed)
-    starts = topology.uniform_nodes(trials, rng)
-    paths = walk_paths(topology, starts, steps, rng)
-    distinct = np.array([np.unique(row).size for row in paths])
-    repeats = 1.0 - (distinct - 1) / steps
-    return CoverageStatistics(
-        steps=steps,
-        mean_distinct_nodes=float(distinct.mean()),
-        mean_repeat_fraction=float(repeats.mean()),
-        min_distinct_nodes=int(distinct.min()),
-        max_distinct_nodes=int(distinct.max()),
-        trials=trials,
-    )
-
-
 __all__ = [
-    "CoverageStatistics",
     "distinct_nodes_visited",
     "repeat_visit_fraction",
-    "coverage_statistics",
 ]

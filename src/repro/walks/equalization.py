@@ -59,18 +59,6 @@ def equalization_profile(
     )
 
 
-def count_equalizations(path: np.ndarray) -> int:
-    """Number of returns to the starting node along a recorded walk path.
-
-    ``path`` is the output of :func:`repro.walks.single.walk_path`; the
-    starting entry itself is not counted as a return.
-    """
-    path = np.asarray(path)
-    if path.ndim != 1 or path.size == 0:
-        raise ValueError("path must be a non-empty 1-D array of positions")
-    return int(np.count_nonzero(path[1:] == path[0]))
-
-
 def equalization_counts(
     topology: Topology,
     steps: int,
@@ -93,6 +81,5 @@ def equalization_counts(
 __all__ = [
     "EqualizationProfile",
     "equalization_profile",
-    "count_equalizations",
     "equalization_counts",
 ]

@@ -1,21 +1,17 @@
-"""Local and global mixing measurements.
+"""Local mixing measurements.
 
 The paper's central conceptual point is that *local* mixing — how quickly a
 walk spreads over its neighbourhood, captured by the sum
 ``B(t) = sum_{m=0}^{t} β(m)`` of re-collision probabilities — is what governs
 encounter-rate density estimation (Lemma 19), not the *global* mixing time.
-This module measures both so experiments can exhibit the divergence (e.g. the
-2-D torus mixes slowly globally but has ``B(t) = O(log t)``).
+This module measures ``B(t)`` so experiments can exhibit the divergence (e.g.
+the 2-D torus mixes slowly globally but has ``B(t) = O(log t)``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.topology.base import Topology
-from repro.topology.spectral import stationary_distribution
-from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import require_integer
+from repro.utils.rng import SeedLike
 from repro.walks.recollision import RecollisionProfile, recollision_profile
 
 
@@ -39,86 +35,6 @@ def local_mixing_sum(
     return profile.local_mixing_sum()
 
 
-def local_mixing_curve(
-    topology: Topology,
-    max_offset: int,
-    trials: int = 1000,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """``B(0), B(1), ..., B(max_offset)`` measured empirically."""
-    profile = recollision_profile(topology, max_offset, trials=trials, seed=seed)
-    return profile.cumulative()
-
-
-def empirical_total_variation(
-    topology: Topology,
-    start: int,
-    steps: int,
-    trials: int = 2000,
-    seed: SeedLike = None,
-) -> float:
-    """Total-variation distance between the ``steps``-step law and stationarity.
-
-    Runs ``trials`` walks from ``start`` for ``steps`` steps, builds the
-    empirical distribution over end nodes, and returns its TV distance to the
-    stationary distribution (uniform for regular topologies).
-    """
-    require_integer(steps, "steps", minimum=0)
-    require_integer(trials, "trials", minimum=1)
-    rng = as_generator(seed)
-    positions = np.full(trials, int(start), dtype=np.int64)
-    for _ in range(steps):
-        positions = topology.step_many(positions, rng)
-    counts = np.bincount(positions, minlength=topology.num_nodes).astype(np.float64)
-    empirical = counts / counts.sum()
-    stationary = stationary_distribution(topology)
-    return float(0.5 * np.abs(empirical - stationary).sum())
-
-
-def empirical_mixing_time(
-    topology: Topology,
-    threshold: float = 0.25,
-    max_steps: int = 10_000,
-    trials: int = 2000,
-    seed: SeedLike = None,
-    *,
-    check_every: int = 1,
-    start: int | None = None,
-) -> int:
-    """Smallest measured ``t`` with TV distance below ``threshold``.
-
-    A coarse (Monte-Carlo) estimate of the global mixing time, used only to
-    contrast global against local mixing in the experiments; returns
-    ``max_steps`` if the threshold is not reached within the budget.
-
-    Notes
-    -----
-    On bipartite topologies the walk never mixes in total variation (parity
-    is preserved), so the measured distance plateaus near 0.5; callers should
-    use a threshold above that plateau or interpret the result accordingly.
-    """
-    require_integer(max_steps, "max_steps", minimum=1)
-    require_integer(trials, "trials", minimum=1)
-    require_integer(check_every, "check_every", minimum=1)
-    rng = as_generator(seed)
-    start_node = 0 if start is None else int(start)
-    positions = np.full(trials, start_node, dtype=np.int64)
-    stationary = stationary_distribution(topology)
-    for step in range(1, max_steps + 1):
-        positions = topology.step_many(positions, rng)
-        if step % check_every != 0:
-            continue
-        counts = np.bincount(positions, minlength=topology.num_nodes).astype(np.float64)
-        empirical = counts / counts.sum()
-        distance = 0.5 * np.abs(empirical - stationary).sum()
-        if distance <= threshold:
-            return step
-    return max_steps
-
-
 __all__ = [
     "local_mixing_sum",
-    "local_mixing_curve",
-    "empirical_total_variation",
-    "empirical_mixing_time",
 ]

@@ -13,7 +13,6 @@ suite can compare measurement against these bounds.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -92,30 +91,8 @@ def visit_counts(
     return counts
 
 
-def lemma11_moment_bound(
-    rounds: int, num_nodes: int, order: int, *, constant: float = 1.0
-) -> float:
-    """The right-hand side of Lemma 11: ``(t/A) · w^k · k! · log^k(2t)``.
-
-    ``constant`` plays the role of the unspecified constant ``w``; experiments
-    fit it from the k=2 measurement and check higher orders with the same
-    value.
-    """
-    require_integer(rounds, "rounds", minimum=1)
-    require_integer(num_nodes, "num_nodes", minimum=1)
-    require_integer(order, "order", minimum=1)
-    log_term = math.log(2.0 * rounds)
-    return float(
-        (rounds / num_nodes)
-        * (constant**order)
-        * math.factorial(order)
-        * (log_term**order)
-    )
-
-
 __all__ = [
     "central_moments",
     "pairwise_collision_counts",
     "visit_counts",
-    "lemma11_moment_bound",
 ]

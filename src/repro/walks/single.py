@@ -14,16 +14,6 @@ from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import require_integer
 
 
-def walk_path(topology: Topology, start: int, steps: int, seed: SeedLike = None) -> np.ndarray:
-    """Path of a single ``steps``-step walk started at ``start``.
-
-    Returns an array of length ``steps + 1``; entry ``r`` is the position
-    after ``r`` steps (entry 0 is ``start``).
-    """
-    require_integer(steps, "steps", minimum=0)
-    return topology.walk(int(start), steps, seed)
-
-
 def walk_paths(
     topology: Topology,
     starts: np.ndarray,
@@ -60,24 +50,4 @@ def walk_paths(
     return paths
 
 
-def end_positions(
-    topology: Topology,
-    starts: np.ndarray,
-    steps: int,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Positions of many independent walks after exactly ``steps`` steps.
-
-    Cheaper than :func:`walk_paths` when intermediate positions are not
-    needed (memory is O(num_walkers) instead of O(num_walkers * steps)).
-    """
-    require_integer(steps, "steps", minimum=0)
-    rng = as_generator(seed)
-    positions = np.asarray(starts, dtype=np.int64).copy()
-    topology.validate_nodes(positions)
-    for _ in range(steps):
-        positions = topology.step_many(positions, rng)
-    return positions
-
-
-__all__ = ["walk_path", "walk_paths", "end_positions"]
+__all__ = ["walk_paths"]

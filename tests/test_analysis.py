@@ -5,19 +5,11 @@ import pytest
 
 from repro.analysis.accuracy import (
     empirical_epsilon,
-    empirical_failure_probability,
     fit_power_law,
     fraction_within,
     relative_errors,
-    summarize_estimates,
 )
-from repro.analysis.concentration import (
-    chebyshev_deviation,
-    chernoff_deviation,
-    hoeffding_samples,
-    median_of_means,
-    subexponential_deviation,
-)
+from repro.analysis.concentration import chernoff_deviation
 from repro.analysis.sweep import cartesian_grid
 
 
@@ -27,42 +19,6 @@ class TestConcentration:
 
     def test_chernoff_increases_with_confidence(self):
         assert chernoff_deviation(100, 0.001) > chernoff_deviation(100, 0.1)
-
-    def test_chebyshev_formula(self):
-        assert chebyshev_deviation(4.0, 0.25) == pytest.approx(4.0)
-
-    def test_chebyshev_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            chebyshev_deviation(-1.0, 0.1)
-
-    def test_subexponential_exceeds_gaussian_term(self):
-        # The deviation always includes the Bernstein linear term.
-        deviation = subexponential_deviation(1.0, 1.0, 0.05)
-        assert deviation > np.sqrt(2 * np.log(2 / 0.05))
-
-    def test_subexponential_consistent_with_lemma18(self):
-        # Plugging the deviation back into the tail bound should give ~delta.
-        sigma2, b, delta = 3.0, 0.5, 0.02
-        deviation = subexponential_deviation(sigma2, b, delta)
-        tail = 2 * np.exp(-(deviation**2) / (2 * (sigma2 + b * deviation)))
-        assert tail == pytest.approx(delta, rel=1e-6)
-
-    def test_median_of_means_robust_to_outlier(self):
-        samples = np.concatenate([np.ones(99), [1000.0]])
-        assert median_of_means(samples, 10) < 2.0
-
-    def test_median_of_means_single_group_is_mean(self):
-        samples = np.array([1.0, 2.0, 3.0])
-        assert median_of_means(samples, 1) == pytest.approx(2.0)
-
-    def test_median_of_means_validation(self):
-        with pytest.raises(ValueError):
-            median_of_means(np.array([]), 2)
-        with pytest.raises(ValueError):
-            median_of_means(np.array([1.0]), 0)
-
-    def test_hoeffding_samples_monotone(self):
-        assert hoeffding_samples(0.05, 0.05) > hoeffding_samples(0.1, 0.05)
 
 
 class TestAccuracy:
@@ -84,10 +40,6 @@ class TestAccuracy:
             estimates, 1.0, delta=0.05
         )
 
-    def test_failure_probability_complement(self):
-        estimates = np.array([0.9, 1.0, 1.3])
-        assert empirical_failure_probability(estimates, 1.0, 0.15) == pytest.approx(1 / 3)
-
     def test_fit_power_law_recovers_exponent(self):
         x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
         y = 3.0 * x**-0.5
@@ -104,17 +56,6 @@ class TestAccuracy:
         y = np.array([1.0, 0.5, 0.25, -1.0])
         _, exponent = fit_power_law(x, y)
         assert exponent == pytest.approx(-1.0, abs=1e-6)
-
-    def test_summarize_estimates_keys(self):
-        summary = summarize_estimates(np.array([0.9, 1.1]), 1.0)
-        assert set(summary) == {
-            "truth",
-            "mean_estimate",
-            "mean_relative_error",
-            "median_relative_error",
-            "p90_relative_error",
-            "max_relative_error",
-        }
 
 
 class TestSweep:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.store import ResultStore
-from repro.sweeps import GridAxis, SweepSpec, TargetSpec, save_spec
+from repro.sweeps import GridAxis, SweepSpec, TargetSpec
 
 
 def _files(root):
@@ -40,7 +40,7 @@ def spec_path(tmp_path):
         ),
     )
     path = tmp_path / "spec.json"
-    save_spec(spec, path)
+    path.write_text(json.dumps(spec.to_dict()))
     return str(path)
 
 
@@ -295,7 +295,7 @@ class TestSweepRunContext:
             targets=(TargetSpec(kind="experiment", name="E01", base={"quick": True}),),
         )
         path = tmp_path / "one-cell.json"
-        save_spec(spec, path)
+        path.write_text(json.dumps(spec.to_dict()))
         return str(path)
 
     @pytest.mark.parametrize("flags", [["--backend", "analytic"], ["--shard-workers", "2"]])

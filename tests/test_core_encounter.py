@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.encounter import collision_counts, collision_matrix, marked_collision_counts
+from repro.core.encounter import collision_counts, marked_collision_counts
 
 
 class TestCollisionCounts:
@@ -85,14 +85,3 @@ class TestMarkedCollisionCounts:
         )
 
 
-class TestCollisionMatrix:
-    def test_symmetric_no_diagonal(self):
-        matrix = collision_matrix(np.array([4, 4, 5]))
-        assert matrix[0, 1] and matrix[1, 0]
-        assert not matrix.diagonal().any()
-
-    def test_row_sums_match_counts(self):
-        rng = np.random.default_rng(2)
-        positions = rng.integers(0, 5, size=40)
-        matrix = collision_matrix(positions)
-        assert np.array_equal(matrix.sum(axis=1), collision_counts(positions))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import EXPERIMENTS, run_all, run_experiment
-from repro.experiments.base import ExperimentResult, summarize_many
+from repro.experiments.base import ExperimentResult
 
 
 class TestRegistry:
@@ -281,11 +281,6 @@ class TestExperimentResultHelpers:
         result = ExperimentResult("EX", "t", "c")
         result.add(a=1)
         assert len(result) == 1
-
-    def test_summarize_many(self):
-        result = ExperimentResult("EX", "t", "c", records=[{"a": 1}])
-        text = summarize_many({"EX": result})
-        assert "EX" in text
 
 
 class TestQualitativeClaims:

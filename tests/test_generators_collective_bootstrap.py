@@ -1,17 +1,11 @@
-"""Tests for graph generators, collective quorum voting, and bootstrap CIs."""
+"""Tests for graph generators and collective quorum voting."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.bootstrap import (
-    bootstrap_interval,
-    difference_is_significant,
-)
 from repro.netsize.generators import (
-    available_generators,
     barabasi_albert_graph,
     expander_graph,
-    make_graph,
     powerlaw_cluster_graph,
     small_world_graph,
     torus_3d_graph,
@@ -50,18 +44,6 @@ class TestGenerators:
         assert topology.is_regular
         assert topology.average_degree == pytest.approx(6.0)
 
-    def test_make_graph_by_name(self):
-        topology = make_graph("expander", size=60, degree=4, seed=4)
-        assert topology.num_nodes == 60
-
-    def test_make_graph_unknown_name(self):
-        with pytest.raises(KeyError):
-            make_graph("nope", size=10)
-
-    def test_registry_contents(self):
-        names = set(available_generators())
-        assert {"expander", "powerlaw_cluster", "barabasi_albert", "small_world", "torus_3d_graph"} == names
-
     def test_deterministic_given_seed(self):
         a = powerlaw_cluster_graph(100, seed=9)
         b = powerlaw_cluster_graph(100, seed=9)
@@ -96,48 +78,6 @@ class TestMajorityQuorumVote:
             MajorityQuorumVote(Torus2D(10), num_agents=0, threshold=0.1, rounds=10)
         with pytest.raises(ValueError):
             MajorityQuorumVote(Torus2D(10), num_agents=10, threshold=-0.1, rounds=10)
-
-
-class TestBootstrap:
-    def test_interval_contains_point_estimate(self):
-        samples = np.random.default_rng(0).normal(5.0, 1.0, size=200)
-        interval = bootstrap_interval(samples, seed=1)
-        assert interval.lower <= interval.point_estimate <= interval.upper
-        assert interval.contains(interval.point_estimate)
-
-    def test_interval_covers_true_mean(self):
-        samples = np.random.default_rng(2).normal(3.0, 0.5, size=500)
-        interval = bootstrap_interval(samples, confidence=0.99, seed=3)
-        assert interval.contains(3.0)
-
-    def test_width_shrinks_with_sample_size(self):
-        rng = np.random.default_rng(4)
-        small = bootstrap_interval(rng.normal(0, 1, size=30), seed=5)
-        large = bootstrap_interval(rng.normal(0, 1, size=3000), seed=5)
-        assert large.width < small.width
-
-    def test_custom_statistic(self):
-        samples = np.arange(100, dtype=float)
-        interval = bootstrap_interval(samples, statistic=np.median, seed=6)
-        assert interval.point_estimate == pytest.approx(49.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_interval(np.array([]))
-        with pytest.raises(ValueError):
-            bootstrap_interval(np.array([1.0]), confidence=1.0)
-
-    def test_difference_significant_for_separated_samples(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(5.0, 0.5, size=200)
-        b = rng.normal(3.0, 0.5, size=200)
-        assert difference_is_significant(a, b, seed=8)
-
-    def test_difference_not_significant_for_identical_distributions(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(0.0, 1.0, size=200)
-        b = rng.normal(0.0, 1.0, size=200)
-        assert not difference_is_significant(a, b, seed=10)
 
 
 class TestNewExperiments:

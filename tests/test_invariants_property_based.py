@@ -5,6 +5,8 @@ conservation laws of the simulation, monotonicity of the theoretical bounds,
 determinism given a seed — and let hypothesis explore the parameter space.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,11 +41,9 @@ class TestBoundsProperties:
     @settings(max_examples=60, deadline=None)
     def test_theorem1_rounds_at_least_independent_sampling(self, d, eps, delta):
         # In the regime the theorem targets (d·eps well below 1, so the
-        # squared log factor exceeds 1), the torus bound dominates the
-        # independent-sampling bound.
-        assert bounds.theorem1_rounds(d, eps, delta) >= bounds.independent_sampling_rounds(
-            d, eps, delta
-        )
+        # squared log factor exceeds 1), the torus bound dominates Theorem
+        # 32's independent-sampling count ceil(log(1/δ) / (dε²)).
+        assert bounds.theorem1_rounds(d, eps, delta) >= math.ceil(math.log(1 / delta) / (d * eps**2))
 
     @given(d=densities, eps=epsilons, delta=deltas)
     @settings(max_examples=60, deadline=None)
@@ -81,15 +81,6 @@ class TestBoundsProperties:
         torus = bounds.recollision_bound_torus2d(m, num_nodes)
         torus3 = bounds.recollision_bound_torus_kd(m, num_nodes, 3)
         assert ring >= torus >= torus3
-
-    @given(eps=epsilons, delta=deltas)
-    @settings(max_examples=40, deadline=None)
-    def test_ring_never_beats_torus(self, eps, delta):
-        d = 0.1
-        assert bounds.ring_rounds_theorem21(d, eps, delta) >= bounds.theorem1_rounds(d, eps, delta) or (
-            # For very loose requirements both bounds bottom out at one round.
-            bounds.ring_rounds_theorem21(d, eps, delta) == 1
-        )
 
 
 class TestSimulationInvariants:

@@ -7,11 +7,7 @@ from repro.core.estimator import RandomWalkDensityEstimator
 from repro.topology.bounded_grid import BoundedGrid
 from repro.topology.ring import Ring
 from repro.topology.torus import Torus2D
-from repro.walks.coverage import (
-    coverage_statistics,
-    distinct_nodes_visited,
-    repeat_visit_fraction,
-)
+from repro.walks.coverage import distinct_nodes_visited, repeat_visit_fraction
 from repro.walks.movement import (
     BiasedTorusWalk,
     CollisionAvoidingWalk,
@@ -179,16 +175,4 @@ class TestCoverage:
         with pytest.raises(ValueError):
             repeat_visit_fraction(np.array([5]))
 
-    def test_coverage_statistics_fields(self, small_torus):
-        stats = coverage_statistics(small_torus, steps=50, trials=100, seed=0)
-        assert stats.steps == 50
-        assert 1 <= stats.min_distinct_nodes <= stats.max_distinct_nodes <= 51
-        assert 0.0 <= stats.mean_repeat_fraction <= 1.0
-        assert stats.mean_coverage_rate <= 1.0
 
-    def test_torus_covers_more_than_ring(self):
-        # Strong local mixing (torus) discovers more distinct nodes than the
-        # ring for the same number of steps.
-        torus_stats = coverage_statistics(Torus2D(60), steps=200, trials=200, seed=1)
-        ring_stats = coverage_statistics(Ring(3600), steps=200, trials=200, seed=1)
-        assert torus_stats.mean_distinct_nodes > ring_stats.mean_distinct_nodes

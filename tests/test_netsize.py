@@ -8,10 +8,7 @@ from repro.netsize.burn_in import burn_in_walks, required_burn_in_steps
 from repro.netsize.degree import estimate_average_degree, estimate_inverse_average_degree
 from repro.netsize.katzir import katzir_size_estimate
 from repro.netsize.oracle import GraphAccessOracle
-from repro.netsize.pipeline import (
-    NetworkSizeEstimationPipeline,
-    median_amplified_estimate,
-)
+from repro.netsize.pipeline import NetworkSizeEstimationPipeline
 from repro.netsize.size_estimator import estimate_network_size
 from repro.topology.graph import NetworkXTopology
 
@@ -213,15 +210,6 @@ class TestPipeline:
         report = pipeline.run_katzir_baseline(seed=3)
         assert report.estimation_rounds == 0
         assert report.link_queries == 200 * 30 + 200
-
-    def test_median_amplification(self, expander_topology):
-        pipeline = NetworkSizeEstimationPipeline(
-            expander_topology, num_walks=80, rounds=30, burn_in=25
-        )
-        report = median_amplified_estimate(pipeline, repetitions=3, seed=4)
-        assert report.details["repetitions"] == 3
-        assert len(report.details["individual_estimates"]) == 3
-        assert report.link_queries > 0
 
     def test_invalid_parameters(self, expander_topology):
         with pytest.raises(ValueError):

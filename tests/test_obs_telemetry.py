@@ -39,7 +39,7 @@ from repro.obs.telemetry import (
 )
 from repro.store import ResultStore
 from repro.swarm.noise import NoisyCollisionModel
-from repro.sweeps import GridAxis, SweepSpec, TargetSpec, run_sweep_spec, save_spec
+from repro.sweeps import GridAxis, SweepSpec, TargetSpec, run_sweep_spec
 from repro.topology.torus import Torus2D
 from repro.walks.movement import (
     BiasedTorusWalk,
@@ -414,7 +414,7 @@ def _span_tree(text: str, heading: str) -> set[str]:
 class TestDocumentedSpanTree:
     def test_traced_runs_open_exactly_the_documented_spans(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
-        save_spec(_sweep_spec(), spec)
+        spec.write_text(json.dumps(_sweep_spec().to_dict()))
         sweep_argv = ["sweep", "run", "--spec", str(spec), "--store", str(tmp_path / "store")]
         assert cli.main([*sweep_argv, "--telemetry", str(tmp_path / "sweep-tel")]) == 0
         sharded_argv = ["run", "E17", "--quick", "--shard-workers", "2"]

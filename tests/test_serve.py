@@ -696,6 +696,51 @@ class TestJobManager:
             with pytest.raises(ValueError, match="no retrievable payload"):
                 owner.result_bytes(job.id)
 
+    def test_truncated_entry_is_gone_for_computed_hit_and_restored_jobs(self, tmp_path):
+        """An entry cut short after its job finished is not the job's result:
+        ``GET /result`` answers 410, the final event parses and has no
+        ``result``, and the next submission of the key recomputes it."""
+        cache = RunCache(tmp_path / "cache")
+        manager = JobManager(cache=cache, jobs_dir=tmp_path / "jobs", workers=1)
+        computed = manager.submit(TINY)
+        drain(manager, computed)
+        manager.stop()
+        hit = manager.submit(TINY)
+        entry = cache.path_for(hit.key)
+        size = entry.stat().st_size
+        entry.write_bytes(entry.read_bytes()[:100])
+        reborn = JobManager(cache=cache, jobs_dir=tmp_path / "jobs", workers=1)
+        restored = reborn.get(computed.id)
+        with serving(manager) as live, serving(reborn) as restarted:
+            for base, job in [(live, computed), (live, hit), (restarted, restored)]:
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    http_bytes(base, f"/jobs/{job.id}/result")
+                assert excinfo.value.code == 410
+        for job in (computed, hit, restored):
+            assert final_event(job) == {"job": job.id, "status": "done", "result_status": job.result_status}
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder):
+            again = reborn.submit(TINY)
+            assert again.status == "queued"
+            drain(reborn, again)
+            reborn.stop()
+        assert again.result_status == "computed"
+        assert recorder.summary()["counters"]["cache.corrupt_recovered"] == 1
+        assert reborn.result_bytes(again.id) == entry.read_bytes()
+        assert computed.entry_bytes == hit.entry_bytes == restored.entry_bytes == again.entry_bytes == size
+
+    def test_records_without_an_entry_size_are_served_as_before(self, tmp_path):
+        cache = RunCache(tmp_path / "cache")
+        key, _ = stored_entry(cache)
+        job = JobManager(cache=cache, jobs_dir=tmp_path / "jobs", workers=1).submit(TINY)
+        record_path = tmp_path / "jobs" / f"{job.id}.json"
+        record = json.loads(record_path.read_text())
+        del record["entry_bytes"]
+        record_path.write_text(json.dumps(record))
+        reborn = JobManager(cache=cache, jobs_dir=tmp_path / "jobs", workers=1)
+        assert reborn.get(job.id).entry_bytes is None
+        assert reborn.result_bytes(job.id) == cache.path_for(key).read_bytes()
+
     def test_cacheless_manager_keeps_and_encodes_its_payload(self):
         manager = JobManager(workers=1)
         job = manager.submit(TINY)

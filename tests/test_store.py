@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import __version__
-from repro.store import STORE_SCHEMA_VERSION, ResultStore, StoreError, default_store_format
+from repro.store import STORE_SCHEMA_VERSION, ResultStore, StoreError
 
 ROWS_A = [
     {"experiment": "E02", "target_density": 0.05, "empirical_epsilon": 1.5, "row": 0},
@@ -81,7 +81,7 @@ class TestSchemaAndProvenance:
         store.append("seg-a", ROWS_A, provenance={"sweep": "demo", "seed_root": 7})
         schema = store.schema()
         assert schema["schema_version"] == STORE_SCHEMA_VERSION
-        assert schema["format"] == default_store_format()
+        assert schema["format"] == "ndjson"
         assert store.provenance()["package_version"] == __version__
         assert store.provenance()["sweep"] == "demo"
         assert store.provenance()["seed_root"] == 7
@@ -115,14 +115,14 @@ class TestSchemaAndProvenance:
         with pytest.raises(StoreError, match="schema version"):
             ResultStore(tmp_path / "store").segments()
 
-    def test_format_mismatch_rejected(self, tmp_path):
-        ResultStore(tmp_path / "store", fmt="ndjson").append("seg-a", ROWS_A)
-        with pytest.raises(StoreError, match="pinned to format"):
-            ResultStore(tmp_path / "store", fmt="parquet")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="unknown store format"):
-            ResultStore(tmp_path / "store", fmt="sqlite")
+    @pytest.mark.parametrize("fmt", ["parquet", "sqlite"])
+    def test_other_format_rejected_on_open(self, tmp_path, fmt):
+        ResultStore(tmp_path / "store").append("seg-a", ROWS_A)
+        schema = json.loads((tmp_path / "store" / "_schema.json").read_text())
+        schema["format"] = fmt
+        (tmp_path / "store" / "_schema.json").write_text(json.dumps(schema))
+        with pytest.raises(StoreError, match=f"in format '{fmt}'"):
+            ResultStore(tmp_path / "store")
 
     def test_missing_store_raises_on_schema_access(self, tmp_path):
         store = ResultStore(tmp_path / "nothing")

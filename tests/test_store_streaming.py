@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.aggregate import StreamStats, aggregate_records, aggregate_stream
+from repro.analysis.aggregate import StreamStats, aggregate_stream
 from repro.obs.telemetry import TelemetryRecorder, use_telemetry
 from repro.store import ResultStore, StoreError, merge_stores
 from repro.store.store import _matches
@@ -32,9 +32,9 @@ from repro.utils.atomic import atomic_text_writer
 from repro.utils.serialization import rows_to_csv
 
 
-def make_store(root, *, segments=6, rows_per_segment=5, fmt="ndjson") -> ResultStore:
+def make_store(root, *, segments=6, rows_per_segment=5) -> ResultStore:
     """A small store of deterministic synthetic rows, several segments wide."""
-    store = ResultStore(root, fmt=fmt)
+    store = ResultStore(root)
     counter = 0
     for segment_index in range(segments):
         rows = []
@@ -159,7 +159,6 @@ class TestStreamingBehaviour:
         assert counters["store.segments_opened"] == 4
         assert counters["store.rows_scanned"] == 24
         assert counters["store.rows_returned"] == len(rows) == 12
-        assert counters["store.pushdown_hits"] == 0  # ndjson has no reader pushdown
 
     def test_counters_flush_even_on_abandoned_iteration(self, tmp_path):
         store = make_store(tmp_path / "store", segments=3, rows_per_segment=4)
@@ -269,7 +268,7 @@ class TestStreamingExport:
         assert decoded == store.select()
 
     def test_empty_store_exports_empty_file(self, tmp_path):
-        store = ResultStore(tmp_path / "store", fmt="ndjson")
+        store = ResultStore(tmp_path / "store")
         store.append("empty", [])
         for fmt in ("csv", "ndjson"):
             output = tmp_path / f"out.{fmt}"
@@ -314,9 +313,9 @@ class TestAtomicTextWriter:
 
 class TestMergeStores:
     def make_shards(self, tmp_path):
-        a = ResultStore(tmp_path / "a", fmt="ndjson")
+        a = ResultStore(tmp_path / "a")
         a.append("seg-a", [{"x": 1}], meta={"origin": "a"})
-        b = ResultStore(tmp_path / "b", fmt="ndjson")
+        b = ResultStore(tmp_path / "b")
         b.append("seg-b", [{"x": 2}, {"x": 3}])
         return a, b
 
@@ -348,7 +347,7 @@ class TestMergeStores:
 
     def test_merge_rejects_conflicting_segment_bytes(self, tmp_path):
         a, _ = self.make_shards(tmp_path)
-        c = ResultStore(tmp_path / "c", fmt="ndjson")
+        c = ResultStore(tmp_path / "c")
         c.append("seg-a", [{"x": 99}])  # same name, different content
         merge_stores([a.directory], tmp_path / "merged")
         with pytest.raises(StoreError, match="seg-a.*conflict|conflicts"):
@@ -362,7 +361,7 @@ class TestMergeStores:
 
 
 class TestStreamingAggregation:
-    def test_aggregate_stream_matches_aggregate_records(self, tmp_path):
+    def test_aggregate_of_streamed_rows_matches_materialised_rows(self, tmp_path):
         store = make_store(tmp_path / "store", segments=5, rows_per_segment=8)
         metrics = [
             ("mean", "value"),
@@ -377,7 +376,7 @@ class TestStreamingAggregation:
         streamed = aggregate_stream(
             store.iter_select(), by=["parity", "label"], metrics=metrics
         )
-        materialised = aggregate_records(store.select(), by=["parity", "label"], metrics=metrics)
+        materialised = aggregate_stream(store.select(), by=["parity", "label"], metrics=metrics)
         assert streamed == materialised
 
     def test_group_with_no_numeric_values_yields_none(self):

@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.sensor.aggregation import (
-    independent_sample_mean,
-    token_fraction_estimate,
-    token_mean_estimate,
-)
+from repro.sensor.aggregation import independent_sample_mean, token_mean_estimate
 from repro.sensor.network import SensorGrid
-from repro.swarm.dispersion import disperse_swarm, occupancy_imbalance
 from repro.swarm.noise import NoisyCollisionModel, correct_noisy_estimate
 from repro.swarm.placement import clustered_placement, gaussian_blob_placement
-from repro.swarm.swarm import RobotSwarm, make_grid_swarm
+from repro.swarm.swarm import RobotSwarm
 from repro.topology.ring import Ring
 from repro.topology.torus import Torus2D
 
@@ -167,7 +162,7 @@ class TestRobotSwarm:
             report.frequency_estimates("nope")
 
     def test_estimate_density_run_container(self):
-        swarm = make_grid_swarm(side=20, num_robots=100, seed=0)
+        swarm = RobotSwarm(workspace=Torus2D(20), num_robots=100, seed=0)
         run = swarm.estimate_density(rounds=50, seed=1)
         assert run.num_agents == 100
         assert run.mean_estimate() == pytest.approx(run.true_density, rel=0.4)
@@ -183,60 +178,9 @@ class TestRobotSwarm:
         assert run.mean_estimate() == pytest.approx(run.true_density, rel=0.3)
 
     def test_detect_quorum(self):
-        swarm = make_grid_swarm(side=20, num_robots=120, seed=0)  # density 0.3
+        swarm = RobotSwarm(workspace=Torus2D(20), num_robots=120, seed=0)  # density 0.3
         decisions = swarm.detect_quorum(threshold=0.05, rounds=200, seed=1)
         assert decisions.mean() > 0.9
-
-
-class TestDispersion:
-    def test_occupancy_imbalance_zero_when_even(self):
-        torus = Torus2D(16)
-        # One robot per node of a 4x4 coarse cell layout: perfectly even.
-        positions = np.arange(torus.num_nodes)
-        assert occupancy_imbalance(torus, positions, cells_per_side=4) == pytest.approx(0.0)
-
-    @pytest.mark.parametrize("side,cells", [(10, 4), (18, 4), (6, 8)])
-    def test_occupancy_imbalance_rejects_cells_that_do_not_divide_the_side(self, side, cells):
-        # One robot per node is even coverage; unequal cells used to report
-        # 0.50, 0.27 and 0.88 for these three layouts.
-        torus = Torus2D(side)
-        with pytest.raises(ValueError, match=rf"cells_per_side={cells} .* side {side}\b"):
-            occupancy_imbalance(torus, np.arange(torus.num_nodes), cells_per_side=cells)
-
-    @pytest.mark.parametrize("cells", [1, 2, 3, 4, 6, 12])
-    def test_occupancy_imbalance_zero_for_every_divisor(self, cells):
-        torus = Torus2D(12)
-        positions = np.arange(torus.num_nodes)
-        assert occupancy_imbalance(torus, positions, cells_per_side=cells) == 0.0
-
-    def test_occupancy_imbalance_high_when_clustered(self):
-        torus = Torus2D(16)
-        positions = np.zeros(100, dtype=np.int64)
-        assert occupancy_imbalance(torus, positions, cells_per_side=4) > 1.0
-
-    def test_dispersion_reduces_imbalance(self):
-        torus = Torus2D(24)
-        rng = np.random.default_rng(0)
-        placement = gaussian_blob_placement(2.0)
-        positions = placement(torus, 150, rng)
-        result = disperse_swarm(torus, positions, epochs=6, rounds_per_epoch=15, spread_steps=15, seed=1)
-        assert result.final_imbalance < result.initial_imbalance
-
-    def test_callers_positions_untouched(self):
-        # Long enough epochs that the fused loop steps through its
-        # displacement table in place.
-        torus = Torus2D(8)
-        positions = torus.uniform_nodes(40, 0)
-        before = positions.copy()
-        result = disperse_swarm(torus, positions, epochs=2, rounds_per_epoch=30, spread_steps=0, seed=3)
-        assert np.array_equal(positions, before)
-        assert not np.shares_memory(result.final_positions, positions)
-
-    def test_history_length(self):
-        torus = Torus2D(16)
-        positions = torus.uniform_nodes(40, 0)
-        result = disperse_swarm(torus, positions, epochs=3, rounds_per_epoch=5, spread_steps=2, seed=2)
-        assert result.imbalance_history.shape == (4,)
 
 
 class TestSensorGrid:
@@ -274,12 +218,6 @@ class TestSensorGrid:
         result = token_mean_estimate(network, 3000, seed=4)
         assert result.estimate == pytest.approx(network.true_mean, abs=0.08)
         assert 0.0 <= result.repeat_visit_fraction <= 1.0
-
-    def test_token_fraction_estimate(self):
-        network = SensorGrid.bernoulli(40, 0.4, seed=5)
-        result = token_fraction_estimate(network, 2000, seed=6, threshold=0.5)
-        assert result.true_value == pytest.approx(network.true_fraction(0.5))
-        assert result.estimate == pytest.approx(result.true_value, abs=0.1)
 
     def test_independent_baseline(self):
         network = SensorGrid.bernoulli(40, 0.3, seed=7)

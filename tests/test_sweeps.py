@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.aggregate import aggregate_records
+from repro.analysis.aggregate import aggregate_stream
 from repro.analysis.sweep import cartesian_grid
 from repro.engine import RunCache
 from repro.experiments import EXPERIMENTS
@@ -23,7 +23,6 @@ from repro.sweeps import (
     expand_axes,
     load_spec,
     run_sweep_spec,
-    save_spec,
     sweep_status,
 )
 from repro.sweeps.runner import cell_segment
@@ -189,7 +188,7 @@ class TestSpecSerialization:
     def test_file_round_trip(self, tmp_path):
         spec = small_spec()
         path = tmp_path / "spec.json"
-        save_spec(spec, path)
+        path.write_text(json.dumps(spec.to_dict()))
         assert load_spec(path) == spec
 
     def test_schema_mismatch_rejected(self):
@@ -431,7 +430,7 @@ class TestAcceptanceSweep:
             for r in direct.records
         ]
         # And the query-level aggregate equals the direct path's aggregate.
-        aggregated = aggregate_records(
+        aggregated = aggregate_stream(
             store.select(where={"cell": index}), metrics=(("mean", "empirical_epsilon"),)
         )
         expected = float(np.mean([r["empirical_epsilon"] for r in direct.records]))

@@ -1,13 +1,7 @@
-"""Tests for the theory tables and the ASCII figure renderer."""
+"""Tests for the ASCII figure renderer."""
 
 import pytest
 
-from repro.analysis.theory_tables import (
-    network_size_budget_table,
-    required_rounds_by_topology,
-    rounds_table,
-    torus_overhead_table,
-)
 from repro.experiments import run_experiment
 from repro.experiments.figures import (
     DEFAULT_FIGURES,
@@ -15,39 +9,6 @@ from repro.experiments.figures import (
     default_figure,
     figure_from_result,
 )
-
-
-class TestTheoryTables:
-    def test_required_rounds_orderings(self):
-        rounds = required_rounds_by_topology(0.1, 0.2, 0.05)
-        # The ring needs the most rounds; the complete graph the fewest
-        # (tied with the k-D torus and hypercube, which match it exactly).
-        assert rounds["ring"] > rounds["torus_2d"] > rounds["complete_graph"]
-        assert rounds["torus_3d"] == rounds["complete_graph"]
-        assert rounds["hypercube"] == rounds["complete_graph"]
-        assert rounds["expander"] >= rounds["complete_graph"]
-
-    def test_rounds_table_size_and_columns(self):
-        records = rounds_table([0.05, 0.1], [0.1, 0.2])
-        assert len(records) == 4
-        assert {"density", "epsilon", "ring", "torus_2d"} <= set(records[0])
-
-    def test_torus_overhead_grows_as_epsilon_shrinks(self):
-        records = torus_overhead_table([0.1], [0.3, 0.1, 0.03])
-        overheads = [record["overhead_factor"] for record in records]
-        assert overheads[0] < overheads[-1]
-
-    def test_network_size_budget_tradeoff(self):
-        records = network_size_budget_table(10_000, 20_000, [1, 16, 256], burn_in=100)
-        walks = [record["walks"] for record in records]
-        assert walks[0] > walks[-1]
-        # With burn-in dominating, total queries fall as t rises (until the
-        # estimation term takes over).
-        assert records[1]["total_queries"] < records[0]["total_queries"]
-
-    def test_invalid_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            required_rounds_by_topology(0.1, 0.0, 0.05)
 
 
 class TestAsciiFigures:

@@ -7,13 +7,7 @@ import pytest
 from repro.topology.expander import RegularExpander
 from repro.topology.graph import NetworkXTopology
 from repro.topology.ring import Ring
-from repro.topology.spectral import (
-    mixing_time_upper_bound,
-    second_eigenvalue_magnitude,
-    spectral_gap,
-    stationary_distribution,
-    transition_matrix,
-)
+from repro.topology.spectral import second_eigenvalue_magnitude, transition_matrix
 from repro.topology.torus import Torus2D
 
 
@@ -131,27 +125,4 @@ class TestSpectral:
         # The torus walk is periodic (bipartite), so |lambda_A| = 1.
         assert second_eigenvalue_magnitude(Torus2D(6)) == pytest.approx(1.0, abs=1e-6)
 
-    def test_spectral_gap_complement(self):
-        ring = Ring(16)
-        assert spectral_gap(ring) == pytest.approx(1.0 - second_eigenvalue_magnitude(ring))
 
-    def test_mixing_time_bound_monotone_in_lambda(self):
-        assert mixing_time_upper_bound(0.9) > mixing_time_upper_bound(0.5)
-
-    def test_mixing_time_bound_validation(self):
-        with pytest.raises(ValueError):
-            mixing_time_upper_bound(1.0)
-        with pytest.raises(ValueError):
-            mixing_time_upper_bound(0.5, epsilon=0.0)
-
-    def test_stationary_distribution_uniform_for_regular(self):
-        torus = Torus2D(4)
-        pi = stationary_distribution(torus)
-        assert np.allclose(pi, 1.0 / torus.num_nodes)
-
-    def test_stationary_distribution_degree_weighted(self):
-        graph = NetworkXTopology(nx.star_graph(4))
-        pi = stationary_distribution(graph)
-        hub = graph.index_of(0)
-        assert pi[hub] == pytest.approx(0.5)
-        assert pi.sum() == pytest.approx(1.0)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    as_generator,
-    permutation_without_replacement,
-    random_seed_from,
-    spawn_generators,
-)
+from repro.utils.rng import as_generator, spawn_generators
 
 
 class TestAsGenerator:
@@ -62,15 +57,3 @@ class TestSpawnGenerators:
         assert all(isinstance(c, np.random.Generator) for c in children)
 
 
-class TestHelpers:
-    def test_random_seed_from_range(self):
-        seed = random_seed_from(np.random.default_rng(0))
-        assert 0 <= seed < 2**63
-
-    def test_permutation_without_replacement_distinct(self):
-        values = permutation_without_replacement(np.random.default_rng(0), 100, 50)
-        assert len(set(values.tolist())) == 50
-
-    def test_permutation_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            permutation_without_replacement(np.random.default_rng(0), 5, 6)

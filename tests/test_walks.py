@@ -6,33 +6,14 @@ import pytest
 from repro.topology.complete import CompleteGraph
 from repro.topology.ring import Ring
 from repro.topology.torus import Torus2D
-from repro.walks.equalization import (
-    count_equalizations,
-    equalization_counts,
-    equalization_profile,
-)
-from repro.walks.mixing import (
-    empirical_mixing_time,
-    empirical_total_variation,
-    local_mixing_curve,
-    local_mixing_sum,
-)
-from repro.walks.moments import (
-    central_moments,
-    lemma11_moment_bound,
-    pairwise_collision_counts,
-    visit_counts,
-)
+from repro.walks.equalization import equalization_counts, equalization_profile
+from repro.walks.mixing import local_mixing_sum
+from repro.walks.moments import central_moments, pairwise_collision_counts, visit_counts
 from repro.walks.recollision import recollision_probability, recollision_profile
-from repro.walks.single import end_positions, walk_path, walk_paths
+from repro.walks.single import walk_paths
 
 
 class TestSingleWalks:
-    def test_walk_path_shape_and_validity(self, small_torus, rng):
-        path = walk_path(small_torus, 3, 25, rng)
-        assert path.shape == (26,)
-        assert path[0] == 3
-        small_torus.validate_nodes(path)
 
     def test_walk_paths_shape(self, small_torus, rng):
         starts = small_torus.uniform_nodes(10, rng)
@@ -46,23 +27,6 @@ class TestSingleWalks:
         for row in paths:
             for before, after in zip(row[:-1], row[1:]):
                 assert small_torus.torus_distance(int(before), int(after)) == 1
-
-    def test_end_positions_zero_steps(self, small_torus, rng):
-        starts = small_torus.uniform_nodes(20, rng)
-        assert np.array_equal(end_positions(small_torus, starts, 0, rng), starts)
-
-    def test_end_positions_matches_walk_parity(self, small_torus, rng):
-        # On the bipartite torus, a walk of even length ends on the same
-        # colour class as it started.
-        starts = small_torus.uniform_nodes(50, rng)
-        ends = end_positions(small_torus, starts, 8, rng)
-        sx, sy = small_torus.decode(starts)
-        ex, ey = small_torus.decode(ends)
-        assert np.all(((sx + sy) - (ex + ey)) % 2 == 0)
-
-    def test_negative_steps_rejected(self, small_torus, rng):
-        with pytest.raises(ValueError):
-            walk_path(small_torus, 0, -1, rng)
 
 
 class TestRecollision:
@@ -119,14 +83,6 @@ class TestEqualization:
         profile = equalization_profile(torus, 8, trials=20000, seed=1)
         assert profile.probability[2] > 0.1  # exact value is 0.25 in expectation... (>0.1 is safe)
 
-    def test_count_equalizations(self):
-        path = np.array([5, 1, 5, 2, 5, 7])
-        assert count_equalizations(path) == 2
-
-    def test_count_equalizations_requires_path(self):
-        with pytest.raises(ValueError):
-            count_equalizations(np.array([]))
-
     def test_equalization_counts_shape_and_range(self, small_torus):
         counts = equalization_counts(small_torus, 20, trials=300, seed=2)
         assert counts.shape == (300,)
@@ -169,9 +125,6 @@ class TestMoments:
         with pytest.raises(ValueError):
             visit_counts(small_torus, 10, trials=10, seed=0, target=10**6)
 
-    def test_lemma11_bound_grows_with_order(self):
-        assert lemma11_moment_bound(100, 400, 3) > lemma11_moment_bound(100, 400, 2)
-
     def test_pairwise_counts_non_negative(self, small_torus):
         counts = pairwise_collision_counts(small_torus, 10, trials=100, seed=2)
         assert counts.min() >= 0
@@ -186,26 +139,4 @@ class TestMixing:
         with pytest.raises(ValueError):
             local_mixing_sum(small_torus)
 
-    def test_local_mixing_curve_monotone(self, small_torus):
-        curve = local_mixing_curve(small_torus, 15, trials=300, seed=1)
-        assert np.all(np.diff(curve) >= -1e-12)
 
-    def test_total_variation_decreases_with_steps(self):
-        graph = CompleteGraph(50)
-        early = empirical_total_variation(graph, 0, 1, trials=4000, seed=2)
-        late = empirical_total_variation(graph, 0, 10, trials=4000, seed=2)
-        assert late <= early + 0.05
-
-    def test_total_variation_in_unit_interval(self, small_torus):
-        value = empirical_total_variation(small_torus, 0, 5, trials=500, seed=3)
-        assert 0.0 <= value <= 1.0
-
-    def test_mixing_time_fast_on_complete_graph(self):
-        graph = CompleteGraph(30)
-        steps = empirical_mixing_time(graph, threshold=0.3, max_steps=50, trials=3000, seed=4)
-        assert steps <= 5
-
-    def test_mixing_time_returns_cap_when_unreached(self):
-        ring = Ring(500)
-        steps = empirical_mixing_time(ring, threshold=0.01, max_steps=10, trials=200, seed=5)
-        assert steps == 10
