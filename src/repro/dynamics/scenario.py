@@ -22,7 +22,7 @@ event rounds placed at fixed fractions of the horizon, so ``--quick`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
 from repro.core.simulation import PlacementFn
@@ -386,11 +386,6 @@ def _failing_sensors(rounds: int, side: int, num_agents: int) -> Scenario:
     )
 
 
-def rescale(scenario: Scenario, **overrides: Any) -> Scenario:
-    """Return a copy of ``scenario`` with dataclass fields replaced."""
-    return replace(scenario, **overrides)
-
-
 __all__ = [
     "Scenario",
     "ScenarioEntry",
@@ -402,7 +397,6 @@ __all__ = [
     "build_movement",
     "build_noise",
     "build_placement",
-    "rescale",
     "DEFAULT_ROUNDS",
     "DEFAULT_SIDE",
     "DEFAULT_AGENTS",

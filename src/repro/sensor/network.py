@@ -58,10 +58,6 @@ class SensorGrid:
         """The statistic a query wants: the mean reading over all sensors."""
         return float(self.readings.mean())
 
-    def true_fraction(self, threshold: float = 0.5) -> float:
-        """Fraction of sensors whose reading is at least ``threshold``."""
-        return float(np.mean(self.readings >= threshold))
-
     # ------------------------------------------------------------------
     # Token walks
     # ------------------------------------------------------------------

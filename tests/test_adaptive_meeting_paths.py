@@ -89,5 +89,3 @@ class TestEstimatorGolden:
         cap = ESTIMATOR_GOLDEN["adaptive"]["max_rounds"]
         rounds = {case["outcome"]["rounds_used"] for case in ESTIMATOR_GOLDEN["adaptive"]["cases"]}
         assert cap in rounds and min(rounds) < cap
-
-

@@ -102,6 +102,12 @@ class TestLocalMixingSums:
         assert bounds.local_mixing_sum_torus_kd(100, 1) == bounds.local_mixing_sum_ring(100)
         assert bounds.local_mixing_sum_torus_kd(100, 2) == bounds.local_mixing_sum_torus2d(100)
 
+    @pytest.mark.parametrize("lam", [1.0, 1.5, -0.1])
+    def test_expander_sum_needs_lambda_in_unit_interval_below_one(self, lam):
+        # At lambda = 1 the 1 / (1 - lambda) term has no finite value.
+        with pytest.raises(ValueError, match="lambda_value"):
+            bounds.local_mixing_sum_expander(100, lam, 10**4)
+
     def test_expander_constant_plus_linear_term(self):
         value = bounds.local_mixing_sum_expander(100, 0.5, 10**4)
         assert value == pytest.approx(2.0 + 0.01)
@@ -136,7 +142,6 @@ class TestNetworkSizeBounds:
 
 
 class TestConcentrationHelpers:
-
     def test_per_agent_delta(self):
         assert bounds.per_agent_delta(0.1, 100) == pytest.approx(0.001)
 

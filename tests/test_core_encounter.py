@@ -83,5 +83,3 @@ class TestMarkedCollisionCounts:
         assert np.array_equal(
             marked_collision_counts(positions, marked), collision_counts(positions)
         )
-
-

@@ -20,6 +20,7 @@ from repro.dynamics import (
     event_from_dict,
     event_to_dict,
     random_churn_schedule,
+    remap_positions,
     retire_agents,
     run_scenario,
     scenario_names,
@@ -164,6 +165,26 @@ class TestPopulationChurn:
         assert shock_population(population, 1.0, Torus2D(6), rng) is population
         assert shock_population(population, 1e-9, Torus2D(6), rng).size == 1
 
+    @pytest.mark.parametrize("factor", [0.0, -0.5, float("nan")])
+    def test_shock_factor_must_be_positive(self, factor):
+        population = self._population((10,))
+        with pytest.raises(ValueError, match="factor must be positive"):
+            shock_population(population, factor, Torus2D(6), np.random.default_rng(0))
+
+    def test_remap_mod_folds_labels_and_keeps_counters(self):
+        population = self._population((4, 10))
+        remapped = remap_positions(population, Torus2D(4), np.random.default_rng(5), mode="mod")
+        remapped.validate()
+        assert np.array_equal(remapped.positions, population.positions % 16)
+        assert np.array_equal(remapped.totals, population.totals)
+        assert np.array_equal(remapped.marked, population.marked)
+        assert np.array_equal(remapped.marked_totals, population.marked_totals)
+
+    def test_remap_rejects_unknown_mode(self):
+        population = self._population((10,))
+        with pytest.raises(ValueError, match="'uniform' or 'mod'"):
+            remap_positions(population, Torus2D(4), np.random.default_rng(0), mode="nearest")
+
     def test_validate_rejects_desync(self):
         population = self._population((10,))
         population.totals = population.totals[:7]
@@ -242,6 +263,12 @@ class TestOnlineEstimators:
         for _ in range(300):
             flags_total += int(detector.update(1.0 + rng.normal(0, 0.05, size=8)).sum())
         assert flags_total == 0
+
+    @pytest.mark.parametrize("value", [0.0, float("nan")], ids=["zero", "nan"])
+    @pytest.mark.parametrize("parameter", ["threshold", "z_threshold", "min_scale"])
+    def test_detector_parameters_must_be_positive(self, parameter, value):
+        with pytest.raises(ValueError, match=f"{parameter} must be positive"):
+            TwoWindowChangeDetector(window=5, **{parameter: value})
 
     def test_detector_constant_stream_never_divides_by_zero(self):
         detector = TwoWindowChangeDetector(window=3, tracks=2)

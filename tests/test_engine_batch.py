@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.encounter import (
     batched_collision_counts,
+    batched_collision_profiles,
     batched_marked_collision_counts,
     collision_counts,
     marked_collision_counts,
@@ -74,6 +75,22 @@ class TestBatchedCollisionCounts:
             batched_collision_counts(np.array([[0, 5]]), 5)
         with pytest.raises(ValueError, match="lie in"):
             batched_collision_counts(np.array([[-1, 2]]), 5)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0)], ids=["no-replicates", "no-agents"])
+    def test_empty_batches_count_nothing(self, shape):
+        positions = np.zeros(shape, dtype=np.int64)
+        marked = np.zeros(shape, dtype=bool)
+        for counts in (
+            batched_collision_counts(positions, 10),
+            batched_marked_collision_counts(positions, marked, 10),
+            *batched_collision_profiles(positions, marked, 10),
+        ):
+            assert counts.shape == shape
+            assert counts.dtype == np.int64
+
+    def test_marked_counts_of_no_agents(self):
+        counts = marked_collision_counts(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+        assert counts.shape == (0,) and counts.dtype == np.int64
 
     def test_overflow_guard(self):
         huge = 2**62

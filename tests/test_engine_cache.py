@@ -113,6 +113,95 @@ class TestRunCache:
         assert cache.load(cache.key(a=1)) is None
 
 
+    def test_unreadable_entry_is_a_miss_left_in_place(self, tmp_path):
+        cache = RunCache(tmp_path)
+        key = cache.key(k=5)
+        cache.path_for(key).mkdir(parents=True)  # exists, but cannot be read as a file
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder):
+            assert cache.read_bytes(key) is None
+            assert cache.load(key) is None
+        assert cache.path_for(key).is_dir()
+        counters = recorder.summary()["counters"]
+        assert counters["cache.read_errors"] == 2
+        assert counters["cache.misses"] == 1
+        assert "cache.corrupt_recovered" not in counters
+
+    def test_pickled_copy_shares_entries_but_not_flights(self, tmp_path):
+        import pickle
+
+        cache = RunCache(tmp_path)
+        key = cache.key(k=6)
+        cache.store(key, {"ok": True})
+        cache._flights[key] = object()  # an in-flight computation of this process
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.directory == cache.directory
+        assert clone._flights == {}
+        assert clone._flights_lock is not cache._flights_lock
+        assert clone.load(key) == {"ok": True}
+        assert clone.get_or_compute(cache.key(k=7), lambda: {"n": 7}) == ({"n": 7}, "computed")
+
+
+class TestGetOrCompute:
+    def test_miss_computes_plain_json_then_hits(self, tmp_path):
+        cache = RunCache(tmp_path)
+        key = cache.key(k=1)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return {"value": np.float64(0.5), "vector": np.arange(2)}
+
+        assert cache.get_or_compute(key, compute) == ({"value": 0.5, "vector": [0, 1]}, "computed")
+        assert cache.get_or_compute(key, compute) == ({"value": 0.5, "vector": [0, 1]}, "hit")
+        assert calls == [1]
+        assert cache.load(key) == {"value": 0.5, "vector": [0, 1]}
+
+    def test_bad_key_rejected_before_computing(self, tmp_path):
+        def compute():
+            raise AssertionError("computed for an invalid key")
+
+        with pytest.raises(ValueError, match="lowercase hex digests"):
+            RunCache(tmp_path).get_or_compute("../escape", compute)
+
+    def test_leader_failure_reaches_the_waiter_and_the_key_retries(self, tmp_path):
+        import threading
+
+        cache = RunCache(tmp_path)
+        key = cache.key(k=2)
+        waiting = threading.Event()
+        outcomes = {}
+
+        class SignallingEvent(threading.Event):
+            def wait(self, timeout=None):
+                waiting.set()
+                return super().wait(timeout)
+
+        def follower():
+            try:
+                outcomes["follower"] = cache.get_or_compute(key, lambda: {"from": "follower"})
+            except RuntimeError as error:
+                outcomes["follower"] = error
+
+        def failing_compute():
+            # Swap in an event that reports when the follower blocks on it,
+            # so the failure is raised only once the follower is a waiter.
+            cache._flights[key].done = SignallingEvent()
+            thread = threading.Thread(target=follower)
+            thread.start()
+            outcomes["thread"] = thread
+            assert waiting.wait(timeout=30)
+            raise RuntimeError("leader failed")
+
+        with pytest.raises(RuntimeError, match="leader failed") as leader_error:
+            cache.get_or_compute(key, failing_compute)
+        outcomes["thread"].join(timeout=30)
+        assert outcomes["follower"] is leader_error.value
+        assert not cache.contains(key)
+        assert cache._flights == {}
+        assert cache.get_or_compute(key, lambda: {"retried": True}) == ({"retried": True}, "computed")
+
+
 class TestCliCacheIntegration:
     def test_second_run_hits_cache_with_identical_table(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

@@ -174,5 +174,3 @@ class TestCoverage:
     def test_repeat_visit_needs_a_step(self):
         with pytest.raises(ValueError):
             repeat_visit_fraction(np.array([5]))
-
-

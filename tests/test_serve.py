@@ -44,7 +44,7 @@ from repro.serve.schema import (
     submission_schema,
 )
 from repro.serve.stream import RoundBroadcaster, sse_format
-from repro.serve.submit import CACHE_SCHEMA, Submission, run_submission
+from repro.serve.submit import CACHE_SCHEMA, Submission, execute_submission, run_submission
 from repro.utils.serialization import dumps
 
 #: One tiny scenario submission, reused everywhere a real run is needed.
@@ -62,6 +62,34 @@ TINY = {
 
 def tiny_submission(**overrides) -> Submission:
     return Submission.from_payload({**TINY, **overrides})
+
+
+def tiny_sweep_spec(seed: int = 3) -> dict:
+    """A two-cell sweep (one quick E02 grid axis) in its JSON form."""
+    from repro.sweeps import GridAxis, SweepSpec, TargetSpec
+
+    return SweepSpec(
+        name="serve-sweep",
+        seed=seed,
+        targets=(
+            TargetSpec(
+                kind="experiment",
+                name="E02",
+                base={"quick": True, "side": 8, "rounds": 10, "trials": 1},
+                axes=(GridAxis("densities", ((0.1,), (0.2,))),),
+            ),
+        ),
+    ).to_dict()
+
+
+def direct_sweep_rows(spec: dict, directory) -> list[dict]:
+    """The rows a plain ``run_sweep_spec`` call stores for ``spec``."""
+    from repro.store import ResultStore
+    from repro.sweeps import SweepSpec, run_sweep_spec
+
+    store = ResultStore(directory)
+    run_sweep_spec(SweepSpec.from_dict(spec), store=store)
+    return store.select()
 
 
 # ======================================================================
@@ -102,6 +130,32 @@ class TestSubmission:
     def test_sweep_requires_spec(self):
         with pytest.raises(ValueError, match="need a 'spec'"):
             Submission.from_payload({"kind": "sweep"})
+
+    def test_sweep_submission_takes_the_spec_name_and_round_trips(self):
+        spec = tiny_sweep_spec()
+        submission = Submission.from_payload({"kind": "sweep", "spec": spec})
+        assert submission.name == "serve-sweep"
+        assert submission.spec == spec
+        assert Submission.from_payload(submission.to_dict()) == submission
+
+    @pytest.mark.parametrize(
+        "breakage,match",
+        [
+            ({"name": "has spaces"}, "A-Za-z0-9"),
+            ({"targets": []}, "at least one target"),
+            ({"axes": [{"kind": "spiral", "name": "a", "values": [1]}]}, "unknown axis kind"),
+        ],
+        ids=["unsafe-name", "no-targets", "unknown-axis"],
+    )
+    def test_invalid_sweep_spec_rejected_at_submission(self, breakage, match):
+        with pytest.raises(ValueError, match=match):
+            Submission.from_payload({"kind": "sweep", "spec": {**tiny_sweep_spec(), **breakage}})
+
+    def test_sweep_cache_key_follows_the_spec(self, tmp_path):
+        cache = RunCache(tmp_path)
+        key = Submission(kind="sweep", name="", spec=tiny_sweep_spec()).cache_key(cache)
+        assert Submission(kind="sweep", name="", spec=tiny_sweep_spec()).cache_key(cache) == key
+        assert Submission(kind="sweep", name="", spec=tiny_sweep_spec(seed=4)).cache_key(cache) != key
 
     def test_experiment_cache_key_matches_legacy_cli_form(self, tmp_path):
         """The serve key must be the CLI's historical key, field for field."""
@@ -158,6 +212,27 @@ class TestSubmission:
         base = Submission(kind="experiment", name="E01", quick=True)
         tweaked = Submission(kind="experiment", name="E01", quick=True, overrides={"trials": 2})
         assert base.cache_key(cache) != tweaked.cache_key(cache)
+
+
+class TestSweepSubmission:
+    def test_payload_rows_are_the_rows_a_direct_run_stores(self, tmp_path):
+        spec = tiny_sweep_spec()
+        submission = Submission.from_payload({"kind": "sweep", "spec": spec})
+        payload = execute_submission(submission, workdir=tmp_path / "job")
+        assert payload["spec"] == spec
+        assert payload["summary"]["complete"] is True
+        assert len(payload["rows"]) > 0
+        assert payload["rows"] == direct_sweep_rows(spec, tmp_path / "direct")
+        assert (tmp_path / "job" / "store" / "_schema.json").is_file()
+
+    def test_second_run_of_a_sweep_is_a_cache_hit(self, tmp_path):
+        cache = RunCache(tmp_path / "cache")
+        submission = Submission.from_payload({"kind": "sweep", "spec": tiny_sweep_spec()})
+        first, first_status = run_submission(submission, cache=cache, workdir=tmp_path / "one")
+        second, second_status = run_submission(submission, cache=cache, workdir=tmp_path / "two")
+        assert (first_status, second_status) == ("computed", "hit")
+        assert dumps(second) == dumps(first)
+        assert not (tmp_path / "two").exists()
 
 
 # ======================================================================
@@ -1034,6 +1109,39 @@ class TestHTTPDaemon:
                 time.sleep(0.01)
         assert counts.pop("GET /jobs/{id}") >= least.pop("GET /jobs/{id}")
         assert counts == least  # and nothing for the unrouted path
+
+    def test_experiments_route_serves_the_listing(self, daemon):
+        status, listing = http_json(daemon, "/experiments")
+        assert status == 200
+        assert listing == json.loads(dumps(experiment_listing()))
+        assert len(listing) == 24
+
+    def test_scenarios_route_serves_the_listing(self, daemon):
+        status, listing = http_json(daemon, "/scenarios")
+        assert status == 200
+        assert listing == json.loads(dumps(scenario_listing()))
+
+    def test_jobs_route_lists_every_job_in_submission_order(self, daemon):
+        assert http_json(daemon, "/jobs") == (200, [])
+        ids = []
+        for seed in (0, 1):
+            _, job = http_json(daemon, "/jobs", method="POST", body={**TINY, "seed": seed})
+            ids.append(job["id"])
+            wait_done(daemon, job["id"])
+        status, records = http_json(daemon, "/jobs")
+        assert status == 200
+        assert [record["id"] for record in records] == ids
+        assert [record["submission"]["seed"] for record in records] == [0, 1]
+        assert all(record["status"] == "done" for record in records)
+
+    def test_sweep_job_returns_the_direct_run_rows(self, daemon, tmp_path):
+        spec = tiny_sweep_spec()
+        status, job = http_json(daemon, "/jobs", method="POST", body={"kind": "sweep", "spec": spec})
+        assert status == 202 and job["submission"]["name"] == "serve-sweep"
+        record = wait_done(daemon, job["id"])
+        assert record["status"] == "done", record["error"]
+        _, payload = http_json(daemon, f"/jobs/{job['id']}/result")
+        assert payload["rows"] == direct_sweep_rows(spec, tmp_path / "direct")
 
     def test_unknown_routes_and_jobs_are_404(self, daemon):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

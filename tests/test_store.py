@@ -66,6 +66,28 @@ class TestAppendAndRead:
         assert store.read_segment("seg-a") == ROWS_A
         assert store.read_meta("seg-a") == meta
 
+    def test_missing_segment_raises_store_error(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.append("seg-a", ROWS_A)
+        with pytest.raises(StoreError, match="segment 'seg-z' does not exist"):
+            store.read_segment("seg-z")
+
+    def test_blank_lines_in_a_segment_are_not_rows(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.append("seg-a", ROWS_A)
+        path = store.segments_dir / "seg-a.ndjson"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n" + "\n\n".join(lines) + "\n\n", encoding="utf-8")
+        assert store.read_segment("seg-a") == ROWS_A
+        assert store.count() == len(ROWS_A)
+
+    def test_unreadable_meta_sidecar_raises_store_error(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.append("seg-a", ROWS_A, meta={"title": "accuracy"})
+        (store.segments_dir / "seg-a.meta.json").write_text("{not json", encoding="utf-8")
+        with pytest.raises(StoreError, match="unreadable segment metadata"):
+            store.read_meta("seg-a")
+
     def test_meta_sidecar_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.append("seg-a", ROWS_A, meta={"title": "accuracy", "columns": ["a"]})
@@ -122,6 +144,12 @@ class TestSchemaAndProvenance:
         schema["format"] = fmt
         (tmp_path / "store" / "_schema.json").write_text(json.dumps(schema))
         with pytest.raises(StoreError, match=f"in format '{fmt}'"):
+            ResultStore(tmp_path / "store")
+
+    def test_unreadable_schema_document_rejected_on_open(self, tmp_path):
+        ResultStore(tmp_path / "store").append("seg-a", ROWS_A)
+        (tmp_path / "store" / "_schema.json").write_text("{truncated", encoding="utf-8")
+        with pytest.raises(StoreError, match="unreadable store schema"):
             ResultStore(tmp_path / "store")
 
     def test_missing_store_raises_on_schema_access(self, tmp_path):

@@ -28,7 +28,7 @@ from repro.analysis.aggregate import StreamStats, aggregate_stream
 from repro.obs.telemetry import TelemetryRecorder, use_telemetry
 from repro.store import ResultStore, StoreError, merge_stores
 from repro.store.store import _matches
-from repro.utils.atomic import atomic_text_writer
+from repro.utils.atomic import atomic_copy_file, atomic_text_writer, atomic_write_text
 from repro.utils.serialization import rows_to_csv
 
 
@@ -311,6 +311,32 @@ class TestAtomicTextWriter:
         assert list(tmp_path.glob("*.tmp")) == []
 
 
+class TestAtomicWriteAndCopy:
+    def test_failed_write_keeps_old_content_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "file.txt"
+        target.write_text("old\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "caf\u00e9\n", encoding="ascii")
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_copy_streams_exact_bytes_into_new_directories(self, tmp_path):
+        source = tmp_path / "part.ndjson"
+        payload = bytes(range(256)) * 1024  # larger than one copy buffer
+        source.write_bytes(payload)
+        target = tmp_path / "a" / "b" / "part.ndjson"
+        atomic_copy_file(source, target)
+        assert target.read_bytes() == payload
+        assert list(target.parent.glob("*.tmp")) == []
+
+    def test_copy_of_missing_source_leaves_nothing_behind(self, tmp_path):
+        target = tmp_path / "out" / "part.ndjson"
+        with pytest.raises(FileNotFoundError):
+            atomic_copy_file(tmp_path / "missing.ndjson", target)
+        assert not target.exists()
+        assert list(target.parent.glob("*")) == []
+
+
 class TestMergeStores:
     def make_shards(self, tmp_path):
         a = ResultStore(tmp_path / "a")
@@ -352,6 +378,15 @@ class TestMergeStores:
         merge_stores([a.directory], tmp_path / "merged")
         with pytest.raises(StoreError, match="seg-a.*conflict|conflicts"):
             merge_stores([c.directory], tmp_path / "merged")
+
+    def test_merge_rejects_conflicting_segment_metadata(self, tmp_path):
+        a, _ = self.make_shards(tmp_path)
+        c = ResultStore(tmp_path / "c")
+        c.append("seg-a", [{"x": 1}], meta={"origin": "c"})  # same rows, other sidecar
+        merge_stores([a.directory], tmp_path / "merged")
+        with pytest.raises(StoreError, match="seg-a.*metadata differs"):
+            merge_stores([c.directory], tmp_path / "merged")
+        assert ResultStore(tmp_path / "merged").read_meta("seg-a") == {"origin": "a"}
 
     def test_merge_rejects_missing_source_and_empty_list(self, tmp_path):
         with pytest.raises(StoreError, match="at least one source"):

@@ -19,6 +19,7 @@ from repro.sweeps import (
     SweepSpec,
     TargetSpec,
     ZipAxis,
+    axis_from_dict,
     compile_cells,
     expand_axes,
     load_spec,
@@ -95,6 +96,22 @@ class TestAxes:
         assert all(point["n"] in (2, 3, 4) for point in ints.points(np.random.default_rng(0)))
         pick = RandomAxis("c", samples=10, distribution="choice", choices=("a", "b"))
         assert all(point["c"] in ("a", "b") for point in pick.points(np.random.default_rng(0)))
+
+    @pytest.mark.parametrize(
+        "names,rows,match",
+        [
+            ((), ((1,),), "at least one parameter name"),
+            (("m", "t"), (), "at least one row"),
+        ],
+        ids=["no-names", "no-rows"],
+    )
+    def test_zip_axis_needs_names_and_rows(self, names, rows, match):
+        with pytest.raises(ValueError, match=match):
+            ZipAxis(names, rows)
+
+    def test_random_axis_needs_a_name(self):
+        with pytest.raises(ValueError, match="non-empty parameter name"):
+            RandomAxis("", samples=3, low=0.0, high=1.0)
 
     def test_random_axis_validation(self):
         with pytest.raises(ValueError, match="low < high"):
@@ -212,6 +229,31 @@ class TestSpecSerialization:
     def test_sweep_name_must_be_filesystem_safe(self):
         with pytest.raises(ValueError, match="A-Za-z0-9"):
             SweepSpec(name="has spaces", targets=(TargetSpec(kind="experiment", name="E02"),))
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            GridAxis("densities", ((0.1,), (0.2,))),
+            ZipAxis(("side", "rounds"), ((8, 10), (12, 20))),
+            RandomAxis("delta", samples=4, distribution="uniform", low=0.05, high=0.5),
+            RandomAxis("delta", samples=4, distribution="loguniform", low=0.01, high=1.0),
+            RandomAxis("rounds", samples=4, distribution="randint", low=5, high=40),
+            RandomAxis("model", samples=4, distribution="choice", choices=("lazy", "uniform")),
+        ],
+        ids=["grid", "zip", "uniform", "loguniform", "randint", "choice"],
+    )
+    def test_every_axis_kind_round_trips_through_json(self, axis):
+        clone = axis_from_dict(json.loads(json.dumps(axis.to_dict())))
+        assert clone == axis
+        assert clone.points(np.random.default_rng(7)) == axis.points(np.random.default_rng(7))
+
+    def test_target_needs_a_name(self):
+        with pytest.raises(ValueError, match="non-empty name"):
+            TargetSpec(kind="experiment", name="")
+
+    def test_sweep_needs_a_target(self):
+        with pytest.raises(ValueError, match="at least one target"):
+            SweepSpec(name="empty", targets=())
 
     def test_random_axis_round_trip(self):
         spec = SweepSpec(

@@ -4,11 +4,13 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.topology.complete import CompleteGraph
 from repro.topology.expander import RegularExpander
 from repro.topology.graph import NetworkXTopology
 from repro.topology.ring import Ring
 from repro.topology.spectral import second_eigenvalue_magnitude, transition_matrix
 from repro.topology.torus import Torus2D
+from repro.topology.torus_kd import TorusKD
 
 
 class TestNetworkXTopology:
@@ -125,4 +127,34 @@ class TestSpectral:
         # The torus walk is periodic (bipartite), so |lambda_A| = 1.
         assert second_eigenvalue_magnitude(Torus2D(6)) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "build,expected",
+        [
+            # K_n: W = (J - I) / (n - 1) has eigenvalues 1 and -1 / (n - 1).
+            (lambda: CompleteGraph(5), 1.0 / 4.0),
+            (lambda: CompleteGraph(12), 1.0 / 11.0),
+            # Petersen graph: adjacency spectrum {3, 1, -2}, so W's is {1, 1/3, -2/3}.
+            (lambda: NetworkXTopology(nx.petersen_graph()), 2.0 / 3.0),
+            # A star is bipartite (and not regular): -1 is an eigenvalue.
+            (lambda: NetworkXTopology(nx.star_graph(6)), 1.0),
+            # Odd cycles: the most negative eigenvalue is -cos(pi / n).
+            (lambda: Ring(5), np.cos(np.pi / 5)),
+            (lambda: Ring(9), np.cos(np.pi / 9)),
+            # 17^3 = 4913 nodes takes the sparse Lanczos path; the eigenvalue
+            # of largest magnitude after 1 is (3 cos(16 pi / 17)) / 3 = -cos(pi / 17).
+            (lambda: TorusKD(17, 3), np.cos(np.pi / 17)),
+        ],
+        ids=["K5", "K12", "petersen", "star", "ring5", "ring9", "torus3d-sparse"],
+    )
+    def test_second_eigenvalue_matches_closed_form(self, build, expected):
+        assert second_eigenvalue_magnitude(build()) == pytest.approx(expected, abs=1e-9)
 
+    def test_transition_matrix_of_a_non_regular_graph(self):
+        star = NetworkXTopology(nx.star_graph(6))
+        walk = transition_matrix(star).toarray()
+        hub = star.index_of(0)
+        leaves = [star.index_of(label) for label in range(1, 7)]
+        assert np.allclose(walk[hub, leaves], 1.0 / 6.0)
+        assert np.allclose(walk[leaves, hub], 1.0)
+        assert np.allclose(walk.sum(axis=1), 1.0)
+        assert np.count_nonzero(walk) == 12

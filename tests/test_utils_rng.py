@@ -55,5 +55,3 @@ class TestSpawnGenerators:
         children = spawn_generators(np.random.default_rng(1), 3)
         assert len(children) == 3
         assert all(isinstance(c, np.random.Generator) for c in children)
-
-

@@ -14,7 +14,6 @@ from repro.walks.single import walk_paths
 
 
 class TestSingleWalks:
-
     def test_walk_paths_shape(self, small_torus, rng):
         starts = small_torus.uniform_nodes(10, rng)
         paths = walk_paths(small_torus, starts, 15, rng)
@@ -138,5 +137,3 @@ class TestMixing:
     def test_local_mixing_sum_requires_offset_for_topology(self, small_torus):
         with pytest.raises(ValueError):
             local_mixing_sum(small_torus)
-
-
