@@ -104,8 +104,9 @@ class ScalingWorkload:
 
 WORKLOADS = (
     # The scaling grid: agents x replicates regimes between the macro suite
-    # and the frontier, where per-shard work is large enough that thread
-    # fan-out pays (NumPy releases the GIL inside the hot primitives).
+    # and the frontier, where per-shard work is large enough for thread
+    # fan-out to pay at all. It pays only in part: the draws, gathers and
+    # adds release the GIL, but np.bincount holds it.
     ScalingWorkload("agents=20k R=32", "scaling", side=128, agents=20_000, replicates=32, rounds=30),
     ScalingWorkload("agents=100k R=16", "scaling", side=256, agents=100_000, replicates=16, rounds=20),
     ScalingWorkload("agents=4k R=256", "scaling", side=64, agents=4_000, replicates=256, rounds=30),

@@ -37,7 +37,12 @@ results, pinned by the golden fixtures and the equivalence suite:
    the table fits the budget *and* its build cost amortises over the run.
    Topologies whose per-round draw interleaves several generator calls
    (``TorusKD``) keep a per-round chunk fill — bit-identity is
-   non-negotiable, not distributional.
+   non-negotiable, not distributional. A window holds ``uint8`` step
+   choices when the range is a power of two and a round's slice holds at
+   least 4,096 of them (:func:`repro.topology.base.draw_choices_chunk`:
+   the same values and generator state as the int64 draw), and the loop
+   drops both references to the old window — the stream's and its tile
+   view — before drawing the next, so one window is alive at a time.
 
 3. **Cache-sized tiles.** The loop runs window → tile → round. A *window*
    is one chunk refill (a single round when a noise model, a round hook or
@@ -445,6 +450,9 @@ class _SharedStream:
         return topology.draw_steps(shape, self.rng)
 
     def refill(self, topology, rounds, shape):
+        # Free the old window before drawing the next, so two never coexist
+        # (the loop has already dropped its tile view of it).
+        self._window = None
         self._window = topology.draw_steps_chunk(rounds, shape, self.rng)
 
     def tile_steps(self, topology, lo, hi):
@@ -652,6 +660,8 @@ def _run_loop(
     while start < rounds:
         window = min(capacity, rounds - start) if armed.chunkable else 1
         if armed.chunkable:
+            # A tile view keeps the whole old window alive: drop it first.
+            steps = None
             if timing:
                 phase_start = clock()
             streams.refill(armed.topology, window, shape)

@@ -51,12 +51,21 @@ Consequences, stated loudly rather than discovered:
 * Serial mode (``replicates=None``) has one row and nothing to shard; it
   also falls back.
 
-Shards run on threads: the hot path is NumPy ``bincount``/gather/scatter,
-which releases the GIL, and per-row draws are chunked, so threads scale
-without pickling or page-duplication costs. A sharded call reports the
-loop's armings and refills once and its phase seconds summed over its
-shards, so every ``fastpath.*`` counter is the same for any ``K``;
-``shardpath.shards`` counts the shards.
+Shards run on threads, which share the row slices without pickling or
+page duplication, but they overlap only part of a round. The generator
+draws, table gathers and elementwise adds release the GIL; ``np.bincount``,
+which counts every tile every round, holds it (a pure-Python thread ran at
+55–75% of its solo rate beside one on 4 M labels). So threads scale
+sub-linearly at best. On a 2-vCPU Intel Xeon container, medians of 9
+interleaved calls put ``shard_workers=2`` at 0.57–0.72× the time of
+``shard_workers=1`` on Torus2D 128², n=20,000, R=32 and 64², n=4,000,
+R=256, and at 0.86–0.92× on 32², n=64, R=1,000; an earlier measurement on
+the same container, with its neighbours busier, read 1.02–1.12× on all
+three.
+
+A sharded call reports the loop's armings and refills once and its phase
+seconds summed over its shards, so every ``fastpath.*`` counter is the
+same for any ``K``; ``shardpath.shards`` counts the shards.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.topology.base import Topology
+from repro.topology.base import Topology, draw_choices_chunk
+from repro.utils.rng import SeedLike
 from repro.utils.validation import require_integer
 
 
@@ -89,7 +90,7 @@ class BoundedGrid(Topology):
     def draw_steps_chunk(
         self, chunk: int, shape: tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:
-        return rng.integers(0, 4, size=(chunk, *shape))
+        return draw_choices_chunk(4, chunk, shape, rng)
 
     def apply_steps(self, positions: np.ndarray, draws: np.ndarray) -> np.ndarray:
         dx = self.STEPS[draws, 0]
@@ -106,6 +107,13 @@ class BoundedGrid(Topology):
     def step_many(self, positions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.int64)
         return self.apply_steps(positions, self.draw_steps(positions.shape, rng))
+
+    def stationary_nodes(
+        self, count: int | tuple[int, ...], seed: SeedLike = None
+    ) -> np.ndarray:
+        """Uniform nodes: a blocked move stays put, so the walk's transition
+        matrix is symmetric and its stationary law uniform, not degree-weighted."""
+        return self.uniform_nodes(count, seed)
 
     def boundary_nodes(self) -> np.ndarray:
         """Labels of all nodes on the outer boundary of the grid."""

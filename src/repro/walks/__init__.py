@@ -11,7 +11,6 @@ This package provides the measurement side of the paper's technical core:
 * :mod:`repro.walks.moments` — empirical moments of pairwise collision
   counts and node visit counts (Lemma 11, Corollary 15).
 * :mod:`repro.walks.mixing` — local mixing sums B(t) (Lemma 19).
-* :mod:`repro.walks.coverage` — distinct nodes and repeat visits on a path.
 * :mod:`repro.walks.movement` — the movement models beyond the uniform walk.
 """
 
@@ -24,7 +23,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "central_moments": ".moments", "pairwise_collision_counts": ".moments",
     "visit_counts": ".moments",
     "local_mixing_sum": ".mixing",
-    "distinct_nodes_visited": ".coverage", "repeat_visit_fraction": ".coverage",
     "MovementModel": ".movement", "UniformRandomWalk": ".movement", "LazyRandomWalk": ".movement",
     "BiasedTorusWalk": ".movement", "CollisionAvoidingWalk": ".movement",
 })
@@ -39,8 +37,6 @@ __all__ = [
     "pairwise_collision_counts",
     "visit_counts",
     "local_mixing_sum",
-    "distinct_nodes_visited",
-    "repeat_visit_fraction",
     "MovementModel",
     "UniformRandomWalk",
     "LazyRandomWalk",

@@ -12,6 +12,18 @@ from repro.topology.torus import Torus2D
 from repro.topology.torus_kd import TorusKD
 
 
+def pytest_report_header(config) -> str:
+    # The golden fixtures and the step-draw equivalence tests pin NumPy's
+    # samplers, so every run says which NumPy produced it.
+    return f"numpy: {np.__version__}"
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
+    # `-q` (as CI runs the suite) hides the header, so name NumPy at the end.
+    if config.option.verbose < 0:
+        terminalreporter.write_line(pytest_report_header(config))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic generator for tests."""

@@ -1,53 +1,9 @@
-"""Tests for graph generators and collective quorum voting."""
+"""Tests for collective quorum voting."""
 
-import numpy as np
 import pytest
 
-from repro.netsize.generators import (
-    barabasi_albert_graph,
-    expander_graph,
-    powerlaw_cluster_graph,
-    small_world_graph,
-    torus_3d_graph,
-)
 from repro.swarm.collective import MajorityQuorumVote
 from repro.topology.torus import Torus2D
-
-
-class TestGenerators:
-    def test_expander_graph(self):
-        topology = expander_graph(100, degree=4, seed=0)
-        assert topology.num_nodes == 100
-        assert topology.is_regular
-
-    def test_powerlaw_cluster_graph(self):
-        topology = powerlaw_cluster_graph(200, seed=1)
-        assert topology.num_nodes == 200
-        assert not topology.is_regular
-
-    def test_barabasi_albert_graph(self):
-        topology = barabasi_albert_graph(150, edges_per_node=2, seed=2)
-        assert topology.num_nodes == 150
-        # Preferential attachment produces a heavy tail: some node has a much
-        # larger degree than the minimum.
-        degrees = np.asarray(topology.degree_of(np.arange(150)))
-        assert degrees.max() >= 4 * degrees.min()
-
-    def test_small_world_graph_connected(self):
-        topology = small_world_graph(120, seed=3)
-        assert topology.num_nodes == 120
-        assert topology.min_degree >= 1
-
-    def test_torus_3d_graph(self):
-        topology = torus_3d_graph(5)
-        assert topology.num_nodes == 125
-        assert topology.is_regular
-        assert topology.average_degree == pytest.approx(6.0)
-
-    def test_deterministic_given_seed(self):
-        a = powerlaw_cluster_graph(100, seed=9)
-        b = powerlaw_cluster_graph(100, seed=9)
-        assert a.num_edges == b.num_edges
 
 
 class TestMajorityQuorumVote:

@@ -1,4 +1,4 @@
-"""Tests for movement models, the bounded grid, and walk coverage statistics."""
+"""Tests for movement models and the bounded grid."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.core.estimator import RandomWalkDensityEstimator
 from repro.topology.bounded_grid import BoundedGrid
 from repro.topology.ring import Ring
 from repro.topology.torus import Torus2D
-from repro.walks.coverage import distinct_nodes_visited, repeat_visit_fraction
 from repro.walks.movement import (
     BiasedTorusWalk,
     CollisionAvoidingWalk,
@@ -153,24 +152,27 @@ class TestBoundedGrid:
         # Half the moves from a corner are blocked -> the walker stays put.
         assert np.mean(stepped == corner) == pytest.approx(0.5, abs=0.05)
 
+    def test_stationary_nodes_are_uniform(self):
+        # Not degree-weighted: corners, edges and the interior alike.
+        grid = BoundedGrid(4)
+        draws = grid.stationary_nodes(400_000, seed=5)
+        assert np.array_equal(draws, grid.uniform_nodes(400_000, seed=5))
+        frequencies = np.bincount(draws, minlength=16) / draws.size
+        assert np.allclose(frequencies, 1 / 16, atol=0.003)
+
+    def test_uniform_law_is_stationary_under_the_walk(self):
+        # A blocked move stays put, so the transition matrix is symmetric and
+        # walking from a uniform start keeps every node at 1/16.
+        grid = BoundedGrid(4)
+        rng = np.random.default_rng(6)
+        positions = grid.stationary_nodes(400_000, rng)
+        for _ in range(50):
+            positions = grid.step_many(positions, rng)
+        frequencies = np.bincount(positions, minlength=16) / positions.size
+        assert np.allclose(frequencies, 1 / 16, atol=0.003)
+
     def test_estimator_unbiased_on_bounded_grid(self):
         grid = BoundedGrid(24)
         run = RandomWalkDensityEstimator(grid, 120, 300).run(seed=4)
         assert run.mean_estimate() == pytest.approx(run.true_density, rel=0.2)
 
-
-class TestCoverage:
-    def test_distinct_nodes_visited(self):
-        assert distinct_nodes_visited(np.array([1, 2, 1, 3])) == 3
-
-    def test_distinct_requires_nonempty(self):
-        with pytest.raises(ValueError):
-            distinct_nodes_visited(np.array([]))
-
-    def test_repeat_visit_fraction_extremes(self):
-        assert repeat_visit_fraction(np.array([0, 1, 2, 3])) == pytest.approx(0.0)
-        assert repeat_visit_fraction(np.array([0, 0, 0])) == pytest.approx(1.0)
-
-    def test_repeat_visit_needs_a_step(self):
-        with pytest.raises(ValueError):
-            repeat_visit_fraction(np.array([5]))
