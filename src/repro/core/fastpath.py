@@ -37,12 +37,13 @@ results, pinned by the golden fixtures and the equivalence suite:
    the table fits the budget *and* its build cost amortises over the run.
    Topologies whose per-round draw interleaves several generator calls
    (``TorusKD``) keep a per-round chunk fill — bit-identity is
-   non-negotiable, not distributional. A window holds ``uint8`` step
-   choices when the range is a power of two and a round's slice holds at
-   least 4,096 of them (:func:`repro.topology.base.draw_choices_chunk`:
-   the same values and generator state as the int64 draw), and the loop
-   drops both references to the old window — the stream's and its tile
-   view — before drawing the next, so one window is alive at a time.
+   non-negotiable, not distributional. A window is stored in the
+   narrowest dtype that holds a step choice (``uint8`` on every lattice),
+   allocated once per call and refilled in place: each refill draws int64
+   blocks of whole rounds (see :data:`DRAW_BLOCK_ELEMENTS`) and narrows
+   them into it. The blocks consume the stream exactly like one draw (the
+   ``draw_steps_chunk`` contract), so one window and one block are alive
+   at a time.
 
 3. **Cache-sized tiles.** The loop runs window → tile → round. A *window*
    is one chunk refill (a single round when a noise model, a round hook or
@@ -92,6 +93,7 @@ described above.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Optional
 
@@ -128,6 +130,10 @@ TABLE_AMORTISATION_FACTOR = 4
 #: ``(K, tile_rows, n)`` window under per-row streams.
 CHUNK_BUDGET_ELEMENTS = 1 << 21
 
+#: Upper bound on the elements of one int64 step draw before it is narrowed
+#: into a window (a single round may exceed it; it is then drawn alone).
+DRAW_BLOCK_ELEMENTS = 1 << 16
+
 #: Upper bound on one tile's ``tile_rows·A`` int64 scatter space, so each
 #: round's bincount zeroes, scatters and gathers in cache: half of a core's
 #: 2 MiB L2 on the 2-vCPU Intel Xeon it was tuned on, where 512 KiB and
@@ -157,6 +163,22 @@ def build_step_table(topology: Topology) -> Optional[np.ndarray]:
             nodes, np.full(num_nodes, choice, dtype=np.int64)
         )
     return np.ascontiguousarray(table.reshape(-1))
+
+
+def _draw_window(topology: Topology, window: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill ``window`` with ``topology.draw_steps_chunk(len(window), window.shape[1:], rng)``.
+
+    The draw runs in blocks of whole rounds (see
+    :data:`DRAW_BLOCK_ELEMENTS`), each narrowed into ``window`` before the
+    next is drawn. Blocks of rounds consume the stream exactly like one
+    draw, so the values and the generator's final state are those of the
+    single call.
+    """
+    rounds, shape = window.shape[0], window.shape[1:]
+    block = max(1, DRAW_BLOCK_ELEMENTS // max(1, math.prod(shape)))
+    for lo in range(0, rounds, block):
+        hi = min(lo + block, rounds)
+        window[lo:hi] = topology.draw_steps_chunk(hi - lo, shape, rng)
 
 
 def _rows(array: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -343,8 +365,8 @@ class _ArmedLoop:
         is the gather-index scratch of a tile (default: the whole slice's).
         """
         if self.table is None:
-            # Per-row streams store draws narrow; a topology's own
-            # displacement arithmetic gets them as int64.
+            # Windows store draws narrow; a topology's own displacement
+            # arithmetic gets them as int64.
             stepped = self.topology.apply_steps(positions, draws.astype(np.int64, copy=False))
             if in_place:
                 np.copyto(positions, stepped)
@@ -430,7 +452,8 @@ class _SharedStream:
 
     Each method makes exactly the generator calls the reference loop makes
     at that point, so the fused loop stays bit-identical to it. A window's
-    ``(K, R, n)`` chunk is drawn for the whole batch before any tile runs.
+    ``(K, R, n)`` chunk is drawn for the whole batch before any tile runs,
+    into reused storage of the narrowest dtype that holds a step choice.
     """
 
     #: Windows are sized so the whole batch's chunk fits the budget.
@@ -438,6 +461,7 @@ class _SharedStream:
 
     def __init__(self, seed: SeedLike):
         self.rng = as_generator(seed)
+        self._storage: Optional[np.ndarray] = None
         self._window: Optional[np.ndarray] = None
 
     def place(self, topology, config, replicates):
@@ -450,10 +474,12 @@ class _SharedStream:
         return topology.draw_steps(shape, self.rng)
 
     def refill(self, topology, rounds, shape):
-        # Free the old window before drawing the next, so two never coexist
-        # (the loop has already dropped its tile view of it).
-        self._window = None
-        self._window = topology.draw_steps_chunk(rounds, shape, self.rng)
+        if self._storage is None:
+            # The first window is the longest, so it sizes the storage.
+            narrow = np.min_scalar_type(topology.num_step_choices - 1)
+            self._storage = np.empty((rounds, *shape), dtype=narrow)
+        self._window = self._storage[:rounds]
+        _draw_window(topology, self._window, self.rng)
 
     def tile_steps(self, topology, lo, hi):
         window = self._window
@@ -473,7 +499,7 @@ class _RowStreams:
     """The per-row seed discipline: row ``i`` draws only from ``default_rng(seeds[i])``.
 
     A window draws nothing batch-wide: each tile draws its own rows, one
-    ``draw_steps_chunk`` call per row, into reused storage of the narrowest
+    :func:`_draw_window` per row, into reused storage of the narrowest
     dtype that holds a step choice (the table gather adds it to int64
     indices directly); :mod:`repro.core.shardpath` explains why this keeps
     results and memory flat.
@@ -514,9 +540,7 @@ class _RowStreams:
             self._chunk = np.empty((self._rounds, hi - lo, *self._agents), dtype=narrow)
         chunk = self._chunk[: self._rounds, : hi - lo]
         for row in range(lo, hi):
-            chunk[:, row - lo] = topology.draw_steps_chunk(
-                self._rounds, self._agents, self.rngs[row]
-            )
+            _draw_window(topology, chunk[:, row - lo], self.rngs[row])
         return chunk
 
     def move(self, movement, topology, positions):
@@ -660,8 +684,6 @@ def _run_loop(
     while start < rounds:
         window = min(capacity, rounds - start) if armed.chunkable else 1
         if armed.chunkable:
-            # A tile view keeps the whole old window alive: drop it first.
-            steps = None
             if timing:
                 phase_start = clock()
             streams.refill(armed.topology, window, shape)

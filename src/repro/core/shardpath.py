@@ -28,10 +28,11 @@ itself, not only its K-invariance: every ``K`` reproduces it byte for byte.
 **Per-row chunked draws.** Without observation noise the loop draws steps
 several rounds at a time, as the unsharded loop does, but row by row: each
 cache-sized tile of a shard's rows draws for a window sized from the tile,
-one ``topology.draw_steps_chunk(k, (n,), rng)`` call per row and window,
-which the topology's stream contract makes bit-identical to ``k``
-per-round draws. A noise model reads each row's stream between two step
-draws, so noisy runs draw round by round, as the shared-stream loop does.
+``topology.draw_steps_chunk(k, (n,), rng)`` per row and window (in blocks
+of whole rounds when ``k·n`` exceeds ``DRAW_BLOCK_ELEMENTS``), which the
+topology's stream contract makes bit-identical to ``k`` per-round draws.
+A noise model reads each row's stream between two step draws, so noisy
+runs draw round by round, as the shared-stream loop does.
 Each shard's tile window fits ``CHUNK_BUDGET_ELEMENTS`` elements of the
 narrowest dtype that holds a step choice: shard threads allocate it in
 their own malloc arenas, which keep memory after it is freed, so it is
@@ -52,16 +53,9 @@ Consequences, stated loudly rather than discovered:
   also falls back.
 
 Shards run on threads, which share the row slices without pickling or
-page duplication, but they overlap only part of a round. The generator
-draws, table gathers and elementwise adds release the GIL; ``np.bincount``,
-which counts every tile every round, holds it (a pure-Python thread ran at
-55–75% of its solo rate beside one on 4 M labels). So threads scale
-sub-linearly at best. On a 2-vCPU Intel Xeon container, medians of 9
-interleaved calls put ``shard_workers=2`` at 0.57–0.72× the time of
-``shard_workers=1`` on Torus2D 128², n=20,000, R=32 and 64², n=4,000,
-R=256, and at 0.86–0.92× on 32², n=64, R=1,000; an earlier measurement on
-the same container, with its neighbours busier, read 1.02–1.12× on all
-three.
+page duplication, but they overlap only part of a round: the generator
+draws, table gathers and elementwise adds release the GIL, while
+``np.bincount``, which counts every tile every round, holds it.
 
 A sharded call reports the loop's armings and refills once and its phase
 seconds summed over its shards, so every ``fastpath.*`` counter is the

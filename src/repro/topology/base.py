@@ -13,55 +13,10 @@ pure Python + NumPy.
 from __future__ import annotations
 
 import abc
-import math
 
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
-
-#: One round's slice must hold at least this many step choices before
-#: :func:`draw_choices_chunk` returns bytes. Smaller slices (serial runs,
-#: per-row shard windows) stay int64: there the table step's
-#: ``uint8 + int64`` add costs more than the narrower draw saves.
-BYTE_DRAW_MIN_ELEMENTS = 4096
-
-#: 32-bit words drawn per block on the byte path, so the word buffer never
-#: holds more than 256 KiB beside the byte array it fills.
-BYTE_DRAW_BLOCK_WORDS = 1 << 16
-
-
-def draw_choices_chunk(
-    choices: int, chunk: int, shape: tuple[int, ...], rng: np.random.Generator
-) -> np.ndarray:
-    """Exactly ``rng.integers(0, choices, size=(chunk, *shape))``, as bytes when it can.
-
-    The values, and the state ``rng`` is left in, are those of that one
-    call. When ``choices`` is a power of two in ``[2, 256]`` and one
-    round's ``shape`` holds at least :data:`BYTE_DRAW_MIN_ELEMENTS`
-    elements, the array is ``uint8`` instead of int64. That is exact
-    because NumPy draws a bounded integer below ``2**32`` by Lemire's
-    method on one 32-bit word: for a power-of-two range the rejection
-    threshold ``(2**32 - choices) % choices`` is 0, so it never rejects and
-    returns the word's top ``log2(choices)`` bits. The byte path draws those
-    words itself, in C-order blocks of at most
-    :data:`BYTE_DRAW_BLOCK_WORDS`, which consume the stream exactly like
-    one draw.
-    """
-    size = (chunk, *shape)
-    if (
-        choices & (choices - 1)
-        or not 2 <= choices <= 256
-        or math.prod(shape) < BYTE_DRAW_MIN_ELEMENTS
-    ):
-        return rng.integers(0, choices, size=size)
-    out = np.empty(size, dtype=np.uint8)
-    flat = out.reshape(-1)
-    shift = 33 - choices.bit_length()
-    for lo in range(0, flat.size, BYTE_DRAW_BLOCK_WORDS):
-        hi = min(lo + BYTE_DRAW_BLOCK_WORDS, flat.size)
-        words = rng.integers(0, 1 << 32, size=hi - lo, dtype=np.uint32)
-        np.right_shift(words, shift, out=flat[lo:hi], casting="unsafe")
-    return out
 
 
 class Topology(abc.ABC):
@@ -169,10 +124,7 @@ class Topology(abc.ABC):
         single generator call override this with one vectorised draw —
         NumPy's bounded-integer samplers consume the stream element by
         element in C order, so one ``(chunk, *shape)`` draw is
-        bit-identical to ``chunk`` consecutive ``shape`` draws. The
-        contract is on values and generator state, not on dtype: a
-        topology whose draw is ``integers(0, C)`` routes it through
-        :func:`draw_choices_chunk`, which may return ``uint8``.
+        bit-identical to ``chunk`` consecutive ``shape`` draws.
         """
         return np.stack([self.draw_steps(shape, rng) for _ in range(chunk)])
 
@@ -269,10 +221,4 @@ class RegularTopology(Topology):
         return np.full(np.shape(nodes), self.degree, dtype=np.int64)
 
 
-__all__ = [
-    "BYTE_DRAW_BLOCK_WORDS",
-    "BYTE_DRAW_MIN_ELEMENTS",
-    "RegularTopology",
-    "Topology",
-    "draw_choices_chunk",
-]
+__all__ = ["Topology", "RegularTopology"]

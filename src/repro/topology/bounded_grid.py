@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.topology.base import Topology, draw_choices_chunk
+from repro.topology.base import Topology
 from repro.utils.rng import SeedLike
 from repro.utils.validation import require_integer
 
@@ -90,7 +90,7 @@ class BoundedGrid(Topology):
     def draw_steps_chunk(
         self, chunk: int, shape: tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:
-        return draw_choices_chunk(4, chunk, shape, rng)
+        return rng.integers(0, 4, size=(chunk, *shape))
 
     def apply_steps(self, positions: np.ndarray, draws: np.ndarray) -> np.ndarray:
         dx = self.STEPS[draws, 0]

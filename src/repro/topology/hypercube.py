@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.topology.base import RegularTopology, draw_choices_chunk
+from repro.topology.base import RegularTopology
 from repro.utils.validation import require_integer
 
 
@@ -43,11 +43,10 @@ class Hypercube(RegularTopology):
     def draw_steps_chunk(
         self, chunk: int, shape: tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:
-        return draw_choices_chunk(self.dims, chunk, shape, rng)
+        return rng.integers(0, self.dims, size=(chunk, *shape))
 
     def apply_steps(self, positions: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        # Chunked draws may be uint8; NumPy 1.x would shift those in uint8.
-        return positions ^ (np.int64(1) << np.asarray(draws, dtype=np.int64))
+        return positions ^ (np.int64(1) << draws)
 
     def step_many(self, positions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.int64)

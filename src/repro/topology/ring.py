@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.topology.base import RegularTopology, draw_choices_chunk
+from repro.topology.base import RegularTopology
 from repro.utils.validation import require_integer
 
 
@@ -48,9 +48,8 @@ class Ring(RegularTopology):
     def draw_steps_chunk(
         self, chunk: int, shape: tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:
-        # `choice` over two deltas draws `integers(0, 2)` indices, and index
-        # `i` is the step `_DELTAS[i]`: the same values and stream.
-        return draw_choices_chunk(2, chunk, shape, rng)
+        deltas = rng.choice(self._DELTAS, size=(chunk, *shape))
+        return (deltas > 0).astype(np.int64)
 
     def apply_steps(self, positions: np.ndarray, draws: np.ndarray) -> np.ndarray:
         return (positions + self._DELTAS[draws]) % self.size

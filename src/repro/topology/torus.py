@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.topology.base import RegularTopology, draw_choices_chunk
+from repro.topology.base import RegularTopology
 from repro.utils.validation import require_integer
 
 
@@ -71,10 +71,9 @@ class Torus2D(RegularTopology):
     def draw_steps_chunk(
         self, chunk: int, shape: tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:
-        # One bounded-integer draw (bytes for large slices); element order
-        # matches `chunk` sequential per-round draws, so the stream contract
-        # holds exactly.
-        return draw_choices_chunk(4, chunk, shape, rng)
+        # One bounded-integer draw; element order matches `chunk` sequential
+        # per-round draws, so the stream contract holds exactly.
+        return rng.integers(0, 4, size=(chunk, *shape))
 
     def apply_steps(self, positions: np.ndarray, draws: np.ndarray) -> np.ndarray:
         dx = self.STEPS[draws, 0]

@@ -13,8 +13,8 @@ from repro.topology.torus_kd import TorusKD
 
 
 def pytest_report_header(config) -> str:
-    # The golden fixtures and the step-draw equivalence tests pin NumPy's
-    # samplers, so every run says which NumPy produced it.
+    # The golden fixtures pin NumPy's samplers, so every run says which
+    # NumPy produced it.
     return f"numpy: {np.__version__}"
 
 

@@ -1,24 +1,28 @@
-"""Byte step-draw windows: the same stream as int64 draws, an eighth of the memory.
+"""Narrow step-draw windows: the same stream as one int64 draw, an eighth of the memory.
 
-``topology.base.draw_choices_chunk`` returns ``uint8`` step choices when
-the range is a power of two and one round's slice holds at least
-``BYTE_DRAW_MIN_ELEMENTS`` elements. Every golden case has a smaller
-slice, so no fixture reaches that path by itself. These tests pin it:
+The fused loop stores each window of step choices in the narrowest dtype
+that holds one (``uint8`` on every lattice), allocated once per call and
+refilled in place. Each refill draws int64 blocks of whole rounds, at most
+``fastpath.DRAW_BLOCK_ELEMENTS`` elements each, and narrows them into the
+window. These tests pin that:
 
-1. the helper equals ``rng.integers(0, C, size)`` in values and in final
-   bit-generator state, for every bit generator NumPy ships;
-2. with the floor forced down to one element, the kernel, shard and
-   adaptive golden fixtures still reproduce byte for byte;
-3. above the floor, the fused backend equals the reference backend on
-   every topology that draws bytes;
-4. a batched fused call's traced peak stays bounded: one window at a time,
-   in bytes.
+1. a filled window equals one ``draw_steps_chunk`` call in values and in
+   the generator's final state, for every topology that draws windows,
+   under every bit generator NumPy ships and for any block size, and a
+   refill reuses the first window's storage;
+2. with one-round blocks, the kernel, shard and adaptive golden fixtures
+   still reproduce byte for byte;
+3. at R = 64, n = 128, where a window spans several blocks, the fused
+   backend equals the reference backend on every such topology;
+4. a batched fused call's traced peak stays bounded: one narrow window
+   and one block at a time.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -26,19 +30,15 @@ import numpy as np
 import pytest
 
 import repro.core.fastpath as fastpath
-import repro.topology.base as base
-import repro.topology.bounded_grid
-import repro.topology.hypercube
-import repro.topology.ring
-import repro.topology.torus
 from repro.core.kernel import run_kernel
 from repro.core.simulation import SimulationConfig
 from repro.swarm.noise import NoisyCollisionModel
-from repro.topology.base import draw_choices_chunk
 from repro.topology.bounded_grid import BoundedGrid
+from repro.topology.complete import CompleteGraph
 from repro.topology.hypercube import Hypercube
 from repro.topology.ring import Ring
 from repro.topology.torus import Torus2D
+from repro.topology.torus_kd import TorusKD
 from repro.walks.movement import (
     BiasedTorusWalk,
     CollisionAvoidingWalk,
@@ -47,7 +47,6 @@ from repro.walks.movement import (
 )
 
 BASELINES = Path(__file__).parent / "baselines"
-UINT8 = np.dtype(np.uint8)
 
 
 def _load(name: str):
@@ -64,16 +63,15 @@ KERNEL_GOLDEN = json.loads((BASELINES / "kernel_golden.json").read_text())
 SHARD_GOLDEN = json.loads((BASELINES / "shard_golden.json").read_text())
 ADAPTIVE_GOLDEN = json.loads((BASELINES / "adaptive_golden.json").read_text())
 
-#: The topology modules that draw their step windows through the helper.
-HELPER_MODULES = (
-    repro.topology.torus,
-    repro.topology.bounded_grid,
-    repro.topology.ring,
-    repro.topology.hypercube,
-)
-
-#: Golden-fixture topology names whose step range is a power of two.
-BYTE_TOPOLOGIES = {"torus2d", "ring", "bounded_grid"}
+#: Every topology that draws step windows, at R = 64, n = 128 sizes.
+TOPOLOGIES = {
+    "torus2d": Torus2D(16),
+    "torus_kd": TorusKD(5, 3),
+    "ring": Ring(301),
+    "hypercube": Hypercube(8),
+    "bounded_grid": BoundedGrid(12),
+    "complete": CompleteGraph(300),
+}
 
 
 def same_state(left, right) -> bool:
@@ -85,34 +83,38 @@ def same_state(left, right) -> bool:
     return left == right
 
 
+def narrow_dtype(topology) -> np.dtype:
+    return np.min_scalar_type(topology.num_step_choices - 1)
+
+
 @pytest.fixture
 def window_dtypes(monkeypatch):
-    """The dtype of every window the topologies draw through the helper."""
+    """The dtype of every window (or per-row window) the fused loop fills."""
     dtypes = []
+    fill = fastpath._draw_window
 
-    def spy(choices, chunk, shape, rng):
-        out = draw_choices_chunk(choices, chunk, shape, rng)
-        dtypes.append(out.dtype)
-        return out
+    def spy(topology, window, rng):
+        dtypes.append(window.dtype)
+        fill(topology, window, rng)
 
-    for module in HELPER_MODULES:
-        monkeypatch.setattr(module, "draw_choices_chunk", spy)
+    monkeypatch.setattr(fastpath, "_draw_window", spy)
     return dtypes
 
 
 @pytest.fixture
-def bytes_everywhere(monkeypatch, window_dtypes):
-    """Every slice takes the byte path, however small."""
-    monkeypatch.setattr(base, "BYTE_DRAW_MIN_ELEMENTS", 1)
+def one_round_blocks(monkeypatch, window_dtypes):
+    """Every round of every window is drawn by its own ``draw_steps_chunk`` call."""
+    monkeypatch.setattr(fastpath, "DRAW_BLOCK_ELEMENTS", 1)
     return window_dtypes
 
 
-def assert_byte_windows(dtypes) -> None:
-    assert dtypes and set(dtypes) == {UINT8}, dtypes
+def assert_narrow_windows(dtypes, topology_name: str) -> None:
+    expected = narrow_dtype(shard_generator.TOPOLOGIES[topology_name]())
+    assert dtypes and set(dtypes) == {expected}, dtypes
 
 
 # ----------------------------------------------------------------------
-# 1. The helper is the int64 draw
+# 1. A filled window is one draw
 # ----------------------------------------------------------------------
 
 BIT_GENERATORS = (
@@ -123,54 +125,63 @@ BIT_GENERATORS = (
     np.random.SFC64,
 )
 
-#: (rounds, one round's slice): empty, odd-length, either side of the
-#: 4,096-element floor, and a window of more than 65,536 words.
-WINDOWS = {
-    "empty": (3, (0,)),
-    "odd": (5, (3, 7)),
-    "below-floor": (2, (4095,)),
-    "at-floor": (3, (64, 64)),
-    "multi-block": (17, (4096,)),
-}
+#: (rounds, one round's slice): empty, one round, odd-length rounds, and a
+#: window of many rounds.
+WINDOWS = ((3, (0,)), (1, (5,)), (5, (3, 7)), (40, (129,)))
 
 
-@pytest.mark.parametrize("floor", ("default", 1))
-@pytest.mark.parametrize("window", WINDOWS, ids=str)
-@pytest.mark.parametrize("choices", (1, 2, 3, 4, 8, 256, 512))
+@pytest.mark.parametrize("block_rounds", (1, 3, None), ids=("1-round", "3-round", "default"))
+@pytest.mark.parametrize("name", TOPOLOGIES)
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
-def test_helper_equals_integers_in_values_and_state(monkeypatch, bit_generator, choices, window, floor):
-    if floor != "default":
-        monkeypatch.setattr(base, "BYTE_DRAW_MIN_ELEMENTS", floor)
-    chunk, shape = WINDOWS[window]
-    expected_rng = np.random.Generator(bit_generator(2024))
-    helper_rng = np.random.Generator(bit_generator(2024))
-    # An odd number of 32-bit draws first, so generators that split 64-bit
-    # outputs hold a buffered half-word when the window is drawn.
-    for generator in (expected_rng, helper_rng):
-        generator.integers(0, 4, size=3)
-    if "has_uint32" in helper_rng.bit_generator.state:
-        assert helper_rng.bit_generator.state["has_uint32"] == 1
+def test_window_equals_one_draw_in_values_and_state(monkeypatch, bit_generator, name, block_rounds):
+    topology = TOPOLOGIES[name]
+    for rounds, shape in WINDOWS:
+        if block_rounds is not None:
+            monkeypatch.setattr(fastpath, "DRAW_BLOCK_ELEMENTS", block_rounds * math.prod(shape))
+        expected_rng = np.random.Generator(bit_generator(2024))
+        stream = fastpath._SharedStream(np.random.Generator(bit_generator(2024)))
+        # An odd number of 32-bit draws first, so generators that split
+        # 64-bit outputs hold a buffered half-word when the window is drawn.
+        for generator in (expected_rng, stream.rng):
+            generator.integers(0, 4, size=3)
+        if "has_uint32" in expected_rng.bit_generator.state:
+            assert expected_rng.bit_generator.state["has_uint32"] == 1
 
-    expected = expected_rng.integers(0, choices, size=(chunk, *shape))
-    drawn = draw_choices_chunk(choices, chunk, shape, helper_rng)
+        # A full window, then a shorter last one in the same storage.
+        stream.refill(topology, rounds, shape)
+        first = stream._window
+        assert first.dtype == narrow_dtype(topology)
+        assert np.array_equal(first, topology.draw_steps_chunk(rounds, shape, expected_rng))
+        assert same_state(stream.rng.bit_generator.state, expected_rng.bit_generator.state)
+        last_rounds = max(1, rounds - 2)
+        stream.refill(topology, last_rounds, shape)
+        assert stream._window.shape == (last_rounds, *shape)
+        assert stream._window.size == 0 or np.shares_memory(stream._window, first)
+        assert np.array_equal(
+            stream._window, topology.draw_steps_chunk(last_rounds, shape, expected_rng)
+        )
+        assert same_state(stream.rng.bit_generator.state, expected_rng.bit_generator.state)
 
-    assert drawn.shape == expected.shape
-    assert np.array_equal(drawn, expected)
-    assert same_state(helper_rng.bit_generator.state, expected_rng.bit_generator.state)
-    power_of_two = choices in (2, 4, 8, 256)
-    large = int(np.prod(shape)) >= base.BYTE_DRAW_MIN_ELEMENTS
-    assert drawn.dtype == (UINT8 if power_of_two and large else np.dtype(np.int64))
 
-
-def test_windows_straddle_the_floor_and_span_blocks():
-    slice_size = {name: int(np.prod(shape)) for name, (_, shape) in WINDOWS.items()}
-    assert slice_size["below-floor"] + 1 == slice_size["at-floor"] == base.BYTE_DRAW_MIN_ELEMENTS
-    chunk, _ = WINDOWS["multi-block"]
-    assert chunk * slice_size["multi-block"] > base.BYTE_DRAW_BLOCK_WORDS
+@pytest.mark.parametrize("block_rounds", (1, 3, None), ids=("1-round", "3-round", "default"))
+@pytest.mark.parametrize("name", TOPOLOGIES)
+def test_row_windows_equal_one_draw_per_row(monkeypatch, name, block_rounds):
+    topology, rounds, agents = TOPOLOGIES[name], 40, 129
+    if block_rounds is not None:
+        monkeypatch.setattr(fastpath, "DRAW_BLOCK_ELEMENTS", block_rounds * agents)
+    seeds = [11, 12, 13, 14]
+    streams = fastpath._RowStreams(seeds)
+    streams.refill(topology, rounds, (len(seeds), agents))
+    window = streams.tile_steps(topology, 1, 4)
+    assert window.dtype == narrow_dtype(topology)
+    for row, seed in enumerate(seeds[1:]):
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(window[:, row], topology.draw_steps_chunk(rounds, (agents,), rng))
+        assert same_state(streams.rngs[row + 1].bit_generator.state, rng.bit_generator.state)
 
 
 # ----------------------------------------------------------------------
-# 2. Golden fixtures through the byte path
+# 2. Golden fixtures through one-round blocks
 # ----------------------------------------------------------------------
 
 KERNEL_MOVEMENTS = {
@@ -197,7 +208,7 @@ def chunked(case) -> bool:
     KERNEL_GOLDEN["cases"],
     ids=lambda c: f"{c['movement']}-{c['noise']}-marked{c['marked_fraction']}-seed{c['seed']}",
 )
-def test_kernel_golden_through_byte_windows(bytes_everywhere, case, replicates):
+def test_kernel_golden_through_one_round_blocks(one_round_blocks, case, replicates):
     config = SimulationConfig(
         num_agents=KERNEL_GOLDEN["num_agents"],
         rounds=KERNEL_GOLDEN["rounds"],
@@ -214,7 +225,7 @@ def test_kernel_golden_through_byte_windows(bytes_everywhere, case, replicates):
     assert np.array_equal(outcome.initial_positions, np.array(case["initial_positions"]))
     assert np.array_equal(outcome.final_positions, np.array(case["final_positions"]))
     if chunked(case):
-        assert_byte_windows(bytes_everywhere)
+        assert_narrow_windows(one_round_blocks, "torus2d")
 
 
 @pytest.mark.parametrize("shard_workers", (1, 3))
@@ -223,50 +234,44 @@ def test_kernel_golden_through_byte_windows(bytes_everywhere, case, replicates):
     SHARD_GOLDEN["cases"],
     ids=lambda c: f"{c['topology']}-{c['movement']}-{c['noise']}-marked{c['marked_fraction']}-R{c['replicates']}",
 )
-def test_shard_golden_through_byte_windows(bytes_everywhere, case, shard_workers):
+def test_shard_golden_through_one_round_blocks(one_round_blocks, case, shard_workers):
     assert shard_generator.run_digests(case, shard_workers) == case["digests"]
-    if chunked(case) and case["topology"] in BYTE_TOPOLOGIES:
-        assert_byte_windows(bytes_everywhere)
+    if chunked(case):
+        assert_narrow_windows(one_round_blocks, case["topology"])
 
 
 @pytest.mark.parametrize(
     "case",
-    [case for case in ADAPTIVE_GOLDEN["adaptive"]["cases"] if case["topology"] in BYTE_TOPOLOGIES],
+    [case for case in ADAPTIVE_GOLDEN["adaptive"]["cases"] if case["topology"] in TOPOLOGIES],
     ids=lambda c: f"{c['topology']}-n{c['num_agents']}-eps{c['target_epsilon']}-s{c['seed']}",
 )
-def test_adaptive_golden_through_byte_windows(bytes_everywhere, case):
+def test_adaptive_golden_through_one_round_blocks(one_round_blocks, case):
     assert adaptive_generator.run_adaptive(case) == case["outcome"]
-    assert_byte_windows(bytes_everywhere)
+    assert one_round_blocks
 
 
 # ----------------------------------------------------------------------
-# 3. Fused ≡ reference above the floor
+# 3. Fused ≡ reference across blocks
 # ----------------------------------------------------------------------
-
-#: Every topology that draws bytes, at R = 64, n = 128: an 8,192-element slice.
-ABOVE_FLOOR = {
-    "torus2d": Torus2D(16),
-    "bounded_grid": BoundedGrid(12),
-    "ring": Ring(301),
-    "hypercube": Hypercube(8),
-}
 
 
 @pytest.mark.parametrize("window_rounds", (None, 3), ids=("one-window", "three-round-windows"))
 @pytest.mark.parametrize("marked_fraction", (0.0, 0.3))
-@pytest.mark.parametrize("name", ABOVE_FLOOR)
-def test_fused_equals_reference_above_the_floor(
+@pytest.mark.parametrize("name", TOPOLOGIES)
+def test_fused_equals_reference_across_blocks(
     monkeypatch, window_dtypes, name, marked_fraction, window_rounds
 ):
+    # 8,192 step choices a round: a default block holds 8 rounds, so the
+    # one 10-round window is drawn in two blocks.
     replicates, agents = 64, 128
     if window_rounds is not None:
         monkeypatch.setattr(fastpath, "CHUNK_BUDGET_ELEMENTS", window_rounds * replicates * agents)
-    topology = ABOVE_FLOOR[name]
+    topology = TOPOLOGIES[name]
     config = SimulationConfig(
         num_agents=agents, rounds=10, marked_fraction=marked_fraction, record_trajectory=True
     )
     fused = run_kernel(topology, config, replicates, 41, backend="fused")
-    assert_byte_windows(window_dtypes)
+    assert window_dtypes and set(window_dtypes) == {narrow_dtype(topology)}
     assert len(window_dtypes) == (1 if window_rounds is None else 4)
     reference = run_kernel(topology, config, replicates, 41, backend="reference")
     for field in shard_generator.FIELDS:
@@ -279,10 +284,13 @@ def test_fused_equals_reference_above_the_floor(
 # ----------------------------------------------------------------------
 
 
-def traced_peak_of_batched_call() -> int:
-    """Traced peak bytes of one fused Torus2D(32), n = 64, R = 1000, T = 100 call.
+def test_batched_fused_call_peak_memory_bounded():
+    """The tracemalloc gate: one step window alive at a time, in bytes.
 
-    Its shared-stream windows are 32 rounds of 64,000 step choices each.
+    One fused Torus2D(32), n = 64, R = 1000, T = 100 call draws windows of
+    32 rounds of 64,000 step choices. With int64 windows and the old
+    window alive while the next is drawn, it peaks near 33.5 MiB; freeing
+    the old window alone leaves 18.9 MiB.
     """
     topology = Torus2D(32)
     run_kernel(topology, SimulationConfig(num_agents=64, rounds=2), 8)  # imports, off the trace
@@ -293,24 +301,4 @@ def traced_peak_of_batched_call() -> int:
     finally:
         tracemalloc.stop()
     assert result.collision_totals.shape == (1000, 64)
-    return peak
-
-
-def test_batched_fused_call_peak_memory_bounded():
-    """The tracemalloc gate: one step window alive at a time, in bytes.
-
-    With int64 windows and the old window alive while the next is drawn,
-    this call peaks near 33.5 MiB; freeing the old window alone leaves
-    18.9 MiB.
-    """
-    peak = traced_peak_of_batched_call()
     assert peak < 8 * 1024 * 1024, f"traced peak {peak / 2**20:.1f} MiB over budget"
-
-
-def test_old_window_freed_before_each_refill(monkeypatch):
-    # On int64 windows the release is what separates one window (18.9 MiB
-    # peak) from two (33.5 MiB); byte windows are too small to tell.
-    monkeypatch.setattr(base, "BYTE_DRAW_MIN_ELEMENTS", 1 << 62)
-    peak = traced_peak_of_batched_call()
-    window_bytes = 32 * 64_000 * 8
-    assert peak < 1.5 * window_bytes, f"traced peak {peak / 2**20:.1f} MiB: two windows alive"
