@@ -284,11 +284,6 @@ class AnalyticSolution:
         return (self.num_agents - 1) / self.num_nodes
 
     @property
-    def collisions_per_round(self) -> float:
-        """Expected collisions one agent observes per round (``= d``)."""
-        return self.density
-
-    @property
     def expected_collision_total(self) -> float:
         """Expected total collisions one agent accumulates, ``t · d``."""
         return self.rounds * self.density

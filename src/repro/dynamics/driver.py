@@ -142,9 +142,9 @@ class _DynamicsTracker:
         # replicate and (divided by the live count) the mean encounter rate.
         mass = np.atleast_1d(observed.sum(axis=-1))
         y = mass / observed.shape[-1]
-        self.running.update(y, mass)
+        self.running.update(y)
         self.window.update(y, mass)
-        self.discounted.update(y, mass)
+        self.discounted.update(y)
 
         # Record this round's estimates before any detection reset, so the
         # flag round still reports the (stale) pre-reset estimate; the

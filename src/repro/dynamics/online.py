@@ -106,29 +106,16 @@ class RunningEstimator:
     def __init__(self, tracks: int = 1):
         require_integer(tracks, "tracks", minimum=1)
         self._sum = np.zeros(tracks, dtype=np.float64)
-        self._mass = np.zeros(tracks, dtype=np.float64)
         self._rounds = np.zeros(tracks, dtype=np.float64)
 
-    def update(self, values: np.ndarray | float, mass: np.ndarray | float = 0.0) -> None:
-        """Fold in one round's mean encounter rate (and its collision mass)."""
+    def update(self, values: np.ndarray | float) -> None:
+        """Fold in one round's mean encounter rate."""
         self._sum += _as_columns(values)
-        self._mass += _as_columns(mass)
         self._rounds += 1.0
 
     def estimate(self) -> np.ndarray:
         """Current per-track density estimate (zero before any update)."""
         return self._sum / np.maximum(self._rounds, 1.0)
-
-    def mass(self) -> np.ndarray:
-        """Observed collision mass supporting each track's estimate."""
-        return self._mass.copy()
-
-    def reset(self, columns: np.ndarray | None = None) -> None:
-        """Forget all history on the masked columns (all columns if ``None``)."""
-        mask = slice(None) if columns is None else np.asarray(columns, dtype=bool)
-        self._sum[mask] = 0.0
-        self._mass[mask] = 0.0
-        self._rounds[mask] = 0.0
 
 
 class SlidingWindowEstimator:
@@ -188,8 +175,6 @@ class DiscountedEstimator:
 
     The normaliser makes the estimate unbiased from the first round (no
     warm-up bias), and the effective memory is ``1 / (1 - gamma)`` rounds.
-    The supporting collision mass is discounted identically so confidence
-    bands shrink and grow with the effective sample size.
     """
 
     name = "discounted"
@@ -200,24 +185,18 @@ class DiscountedEstimator:
         self.gamma = float(gamma)
         self._weighted = np.zeros(tracks, dtype=np.float64)
         self._weight = np.zeros(tracks, dtype=np.float64)
-        self._mass = np.zeros(tracks, dtype=np.float64)
 
-    def update(self, values: np.ndarray | float, mass: np.ndarray | float = 0.0) -> None:
+    def update(self, values: np.ndarray | float) -> None:
         self._weighted = self.gamma * self._weighted + _as_columns(values)
         self._weight = self.gamma * self._weight + 1.0
-        self._mass = self.gamma * self._mass + _as_columns(mass)
 
     def estimate(self) -> np.ndarray:
         return self._weighted / np.maximum(self._weight, 1e-12)
-
-    def mass(self) -> np.ndarray:
-        return self._mass.copy()
 
     def reset(self, columns: np.ndarray | None = None) -> None:
         mask = slice(None) if columns is None else np.asarray(columns, dtype=bool)
         self._weighted[mask] = 0.0
         self._weight[mask] = 0.0
-        self._mass[mask] = 0.0
 
 
 class TwoWindowChangeDetector:
@@ -340,10 +319,6 @@ class TwoWindowChangeDetector:
         if flags.any():
             self._count = np.where(flags, 0, self._count)
         return flags
-
-    def reset(self, columns: np.ndarray | None = None) -> None:
-        mask = slice(None) if columns is None else np.asarray(columns, dtype=bool)
-        self._count[mask] = 0
 
 
 __all__ = [

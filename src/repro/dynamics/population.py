@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.topology.base import Topology
-from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import require_integer, require_probability
 
 
@@ -69,31 +68,6 @@ class Population:
                     f"but {name} has shape {getattr(self, name).shape}"
                 )
         return self
-
-    @classmethod
-    def fresh(
-        cls,
-        topology: Topology,
-        shape: int | tuple[int, ...],
-        seed: SeedLike = None,
-        marked_fraction: float = 0.0,
-    ) -> "Population":
-        """A brand-new uniformly placed population with zeroed counters."""
-        require_probability(marked_fraction, "marked_fraction")
-        rng = as_generator(seed)
-        positions = topology.uniform_nodes(shape, rng)
-        full_shape = positions.shape
-        marked = (
-            rng.random(full_shape) < marked_fraction
-            if marked_fraction > 0.0
-            else np.zeros(full_shape, dtype=bool)
-        )
-        return cls(
-            positions=positions,
-            totals=np.zeros(full_shape, dtype=np.float64),
-            marked=marked,
-            marked_totals=np.zeros(full_shape, dtype=np.float64),
-        )
 
 
 def spawn_agents(

@@ -37,12 +37,24 @@ after the job finished) counts as missing rather than being served.
 Job records persist as one JSON file per job under ``jobs_dir`` (atomic
 writes). On restart the manager reloads them: completed jobs keep their
 cache key, queued jobs re-enqueue, and jobs that were mid-run when the
-daemon died are marked failed (the next identical submission is a plain
-cache hit if the leader finished its store, a recompute otherwise).
+daemon died are marked failed, and that record is written back once (the
+next identical submission is a plain cache hit if the leader finished its
+store, a recompute otherwise).
+
+Memory stays bounded however long the daemon runs. With a ``jobs_dir``, at
+most :data:`FINISHED_IN_MEMORY` finished jobs stay in memory; an older one
+leaves the table once its final record is on disk, and ``get``, ``jobs``,
+results, streams and cancels rebuild it from that record on demand, the
+way a restart does. Its stream then replays no rounds, only the final
+event. A job that keeps its payload (a manager without a cache) never
+leaves, and neither does any job of a manager without a ``jobs_dir``.
+``health()`` reads per-status counts kept up to date on every status
+change, so it costs the same however many jobs the daemon has seen.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import threading
@@ -62,6 +74,13 @@ JOB_STATUSES = ("queued", "running", "done", "failed", "cancelled")
 
 #: Statuses that are terminal — the record will never change again.
 TERMINAL = frozenset({"done", "failed", "cancelled"})
+
+#: Finished jobs a manager with a ``jobs_dir`` keeps in memory; older ones
+#: reload from their records on demand (see the module docstring).
+FINISHED_IN_MEMORY = 256
+
+#: The error of a job that was running when its daemon died.
+RESTART_ERROR = "daemon restarted while the job was running"
 
 
 class QueueFullError(RuntimeError):
@@ -150,7 +169,6 @@ class Job:
         self.entry_bytes: int | None = None  # size of the cache entry when it finished
         self.result: dict[str, Any] | None = None  # kept only without a cache
         self.broadcaster = RoundBroadcaster()
-        self.cancel_requested = False
 
     def to_record(self) -> dict[str, Any]:
         """The persisted/polled JSON form (never includes the payload)."""
@@ -218,11 +236,14 @@ class JobManager:
         self.limiter = TokenBucketLimiter(rate, burst)
         self.context = context
         self.engine = ExecutionEngine(workers=1)  # in-process: on_round hooks work
-        self._jobs: dict[str, Job] = {}
-        self._order: list[str] = []
+        # Every job in submission order; ``None``: finished, its record on disk.
+        self._jobs: dict[str, Job | None] = {}
+        self._resident: collections.deque[str] = collections.deque()  # finished, in memory
+        self._counts = dict.fromkeys(JOB_STATUSES, 0)
         self._queue: list[str] = []
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
+        self._persist_lock = threading.Lock()  # one record write at a time
         self._threads: list[threading.Thread] = []
         self._stopping = False
         self._counter = 0
@@ -275,20 +296,28 @@ class JobManager:
                 tel.gauge("serve.queue.depth", len(self._queue))
                 self._wake.notify()
             self._jobs[job.id] = job
-            self._order.append(job.id)
-        self._persist(job)
+            self._counts[job.status] += 1
+        if hit:
+            self._finish(job)
+        else:
+            self._persist(job)
         return job
 
     def get(self, job_id: str) -> Job:
         with self._lock:
-            try:
-                return self._jobs[job_id]
-            except KeyError:
-                raise UnknownJobError(job_id) from None
+            known, job = job_id in self._jobs, self._jobs.get(job_id)
+        if job is None and known:
+            job = self._load(job_id)
+        if job is None:
+            raise UnknownJobError(job_id)
+        return job
 
     def jobs(self) -> list[Job]:
+        """Every job in submission order (finished ones rebuilt from disk if evicted)."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            entries = list(self._jobs.items())
+        jobs = [job if job is not None else self._load(job_id) for job_id, job in entries]
+        return [job for job in jobs if job is not None]
 
     def result(self, job_id: str) -> dict[str, Any]:
         """The payload of a done job, parsed from its cache entry's bytes."""
@@ -356,20 +385,16 @@ class JobManager:
         """Cancel a queued job; returns False once it is already running."""
         job = self.get(job_id)
         with self._lock:
-            if job.status == "queued":
-                job.cancel_requested = True
-                job.status = "cancelled"
-                job.finished = time.time()
-                if job_id in self._queue:
-                    self._queue.remove(job_id)
-                get_telemetry().counter("serve.jobs.cancelled")
-                cancelled = True
-            else:
-                cancelled = job.status == "cancelled"
-        if cancelled:
-            job.broadcaster.close({"job": job.id, "status": "cancelled"})
-            self._persist(job)
-        return cancelled
+            if job.status != "queued":
+                return job.status == "cancelled"
+            job.finished = time.time()
+            self._set_status(job, "cancelled")
+            if job_id in self._queue:
+                self._queue.remove(job_id)
+            get_telemetry().counter("serve.jobs.cancelled")
+        job.broadcaster.close({"job": job.id, "status": "cancelled"})
+        self._finish(job)
+        return True
 
     # ------------------------------------------------------------------
     # Worker pool
@@ -397,18 +422,12 @@ class JobManager:
         for thread in threads:
             thread.join(timeout=timeout)
 
-    def alive_workers(self) -> int:
-        with self._lock:
-            return sum(1 for thread in self._threads if thread.is_alive())
-
     def health(self) -> dict[str, Any]:
         """The ``/healthz`` body: worker-pool liveness + queue/job counts."""
         with self._lock:
             alive = sum(1 for thread in self._threads if thread.is_alive())
             expected = len(self._threads)
-            counts: dict[str, int] = {status: 0 for status in JOB_STATUSES}
-            for job in self._jobs.values():
-                counts[job.status] += 1
+            counts = dict(self._counts)
             depth = len(self._queue)
         healthy = expected > 0 and alive == expected
         return {
@@ -429,8 +448,8 @@ class JobManager:
                 job = self._jobs[job_id]
                 if job.status != "queued":  # cancelled while queued
                     continue
-                job.status = "running"
                 job.started = time.time()
+                self._set_status(job, "running")
                 get_telemetry().gauge("serve.queue.depth", len(self._queue))
             self._persist(job)
             self._execute(job)
@@ -451,9 +470,10 @@ class JobManager:
                     on_round=job.broadcaster.publish,
                 )
         except Exception as error:
-            job.status = "failed"
             job.error = f"{type(error).__name__}: {error}"
             job.finished = time.time()
+            with self._lock:
+                self._set_status(job, "failed")
             tel.counter("serve.jobs.failed")
             job.broadcaster.close({"job": job.id, "status": "failed", "error": job.error})
         else:
@@ -465,8 +485,9 @@ class JobManager:
                 except OSError:
                     job.entry_bytes = None
             job.result_status = status
-            job.status = "done"
             job.finished = time.time()
+            with self._lock:
+                self._set_status(job, "done")
             tel.counter("serve.jobs.completed")
             tel.counter(f"serve.jobs.{status}")  # hit / computed / dedupe
             if status == "computed":
@@ -482,64 +503,119 @@ class JobManager:
                 if self.cache is None
                 else functools.partial(self._final_frame, job)
             )
-        self._persist(job)
+        self._finish(job)
 
     # ------------------------------------------------------------------
-    # Persistence
+    # Status, persistence and the in-memory cap
     # ------------------------------------------------------------------
-    def _persist(self, job: Job) -> None:
+    def _set_status(self, job: Job, status: str) -> None:
+        """Move ``job`` to ``status`` and keep the counts (lock held)."""
+        self._counts[job.status] -= 1
+        self._counts[status] += 1
+        job.status = status
+
+    def _persist(self, job: Job) -> bool:
+        """Write ``job``'s record; ``True`` once it is on disk.
+
+        Writes run one at a time, and each encodes the job as it is when
+        the write starts, so the last write holds the latest status: the
+        ``queued`` record that ``submit`` writes cannot land after a
+        worker's ``running`` or ``done`` one.
+        """
         if self.jobs_dir is None:
-            return
+            return False
         try:
-            atomic_write_text(self.jobs_dir / f"{job.id}.json", dumps(job.to_record()))
+            with self._persist_lock:
+                atomic_write_text(self.jobs_dir / f"{job.id}.json", dumps(job.to_record()))
         except OSError:  # pragma: no cover - disk trouble must not kill a worker
             get_telemetry().counter("serve.jobs.persist_errors")
+            return False
+        return True
+
+    def _finish(self, job: Job) -> None:
+        """Persist a job that just finished, then let it count toward the cap."""
+        if self._persist(job):
+            self._retire(job)
+
+    def _retire(self, job: Job) -> None:
+        """Count a finished job whose final record is on disk among the jobs
+        in memory, and evict the oldest past :data:`FINISHED_IN_MEMORY`.
+
+        A job that keeps its payload stays: its record cannot rebuild it.
+        """
+        if job.result is not None:
+            return
+        with self._lock:
+            self._resident.append(job.id)
+            while len(self._resident) > FINISHED_IN_MEMORY:
+                self._jobs[self._resident.popleft()] = None
+
+    def _load(self, job_id: str) -> Job | None:
+        """An evicted job, rebuilt from its record (``None`` if that is gone)."""
+        try:
+            with open(self.jobs_dir / f"{job_id}.json", "r", encoding="utf-8") as handle:
+                return self._job_from_record(json.load(handle))
+        except (OSError, KeyError, ValueError):
+            return None
+
+    def _job_from_record(self, record: Mapping[str, Any]) -> Job:
+        """The :class:`Job` a persisted record describes, its stream closed
+        if it is terminal. Raises ``KeyError``/``ValueError`` for a record
+        whose submission no longer validates."""
+        job = Job(record["id"], Submission.from_payload(record["submission"]), client=record.get("client", ""))
+        job.status = record.get("status", "queued")
+        job.created = record.get("created", job.created)
+        job.started = record.get("started")
+        job.finished = record.get("finished")
+        job.error = record.get("error")
+        job.key = record.get("key")
+        job.result_status = record.get("result_status")
+        job.entry_bytes = record.get("entry_bytes")
+        if job.status == "done" and self.cache is not None and job.key is not None:
+            job.broadcaster.close(functools.partial(self._final_frame, job))
+        elif job.status == "failed":  # the final event the failure streamed live
+            job.broadcaster.close({"job": job.id, "status": "failed", "error": job.error})
+        elif job.status in TERMINAL:
+            job.broadcaster.close({"job": job.id, "status": job.status})
+        return job
 
     def _restore(self) -> None:
         """Reload persisted job records (constructor-time, single-threaded)."""
         if not self.jobs_dir.is_dir():
             return
-        records = []
+        restored = 0
         for path in sorted(self.jobs_dir.glob("job-*.json")):
             try:
                 with open(path, "r", encoding="utf-8") as handle:
-                    records.append(json.load(handle))
+                    record = json.load(handle)
             except (OSError, ValueError):  # pragma: no cover - corrupt record
                 continue
-        restored = 0
-        for record in records:
-            try:
-                submission = Submission.from_payload(record["submission"])
-            except (KeyError, ValueError):  # pragma: no cover - stale schema
-                continue
-            job = Job(record["id"], submission, client=record.get("client", ""))
-            job.created = record.get("created", job.created)
-            job.started = record.get("started")
-            job.finished = record.get("finished")
-            job.error = record.get("error")
-            job.key = record.get("key")
-            job.result_status = record.get("result_status")
-            job.entry_bytes = record.get("entry_bytes")
-            status = record.get("status", "queued")
-            if status == "running":
+            interrupted = record.get("status") == "running"
+            if interrupted:
                 # The daemon died mid-run. The cache may or may not hold the
                 # result; failing the record keeps the ledger honest and a
                 # resubmission is a cheap hit if the store completed.
-                job.status = "failed"
-                job.error = job.error or "daemon restarted while the job was running"
-                job.finished = job.finished or time.time()
-            else:
-                job.status = status
-            if job.status == "done" and self.cache is not None and job.key is not None:
-                job.broadcaster.close(functools.partial(self._final_frame, job))
-            elif job.status in TERMINAL:
-                job.broadcaster.close({"job": job.id, "status": job.status})
+                record = {
+                    **record,
+                    "status": "failed",
+                    "error": record.get("error") or RESTART_ERROR,
+                    "finished": record.get("finished") or time.time(),
+                }
+            try:
+                job = self._job_from_record(record)
+            except (KeyError, ValueError):  # pragma: no cover - stale schema
+                continue
             self._jobs[job.id] = job
-            self._order.append(job.id)
+            self._counts[job.status] += 1
             if job.status == "queued":
                 self._queue.append(job.id)
+            elif job.status in TERMINAL:
+                # An interrupted job's corrected record is written back once,
+                # so the next restart reads the same record.
+                if not interrupted or self._persist(job):
+                    self._retire(job)
             try:
-                self._counter = max(self._counter, int(record["id"].rsplit("-", 1)[1]))
+                self._counter = max(self._counter, int(job.id.rsplit("-", 1)[1]))
             except (IndexError, ValueError):  # pragma: no cover - foreign id form
                 pass
             restored += 1
@@ -548,10 +624,12 @@ class JobManager:
 
 
 __all__ = [
+    "FINISHED_IN_MEMORY",
     "JOB_STATUSES",
     "Job",
     "JobManager",
     "QueueFullError",
+    "RESTART_ERROR",
     "RateLimitedError",
     "TokenBucketLimiter",
     "UnknownJobError",

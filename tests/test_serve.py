@@ -34,7 +34,7 @@ from repro.core.kernel import RunContext, use_run_context
 from repro.engine import RunCache
 from repro.obs.telemetry import TelemetryRecorder, use_telemetry
 from repro.serve.api import ROUTES, ReproServer, serve_forever
-from repro.serve.jobs import JobManager, QueueFullError, RateLimitedError, TokenBucketLimiter
+from repro.serve.jobs import Job, JobManager, QueueFullError, RateLimitedError, TokenBucketLimiter
 from repro.serve.schema import (
     dataclass_schema,
     experiment_listing,
@@ -422,6 +422,64 @@ class TestRoundBroadcaster:
         assert sse_format("e", "a\r\nb") == b"event: e\ndata: a\ndata: b\n\n"
         assert sse_format("e", "") == b"event: e\ndata: \n\n"
 
+    def test_frames_are_encoded_at_publish_and_replay_unchanged_after_close(self):
+        """Live subscribers and replays after close get exactly the frames
+        ``sse_format`` builds from the records as published; a closed stream
+        keeps them packed, not as a deque."""
+        records = [{"round": index + 1, "note": "é\n" * index, "values": [index, 0.5]} for index in range(40)]
+        expected = [sse_format("round", record, event_id=index + 1) for index, record in enumerate(records)]
+        broadcaster = RoundBroadcaster(history=64)
+        live = broadcaster.subscribe(replay=False, poll_seconds=0.01)
+        assert next(live) == b": keep-alive\n\n"  # registered
+        for record in records:
+            broadcaster.publish(record)
+            record["round"] = -1  # a later change to the record is not streamed
+        broadcaster.close({"status": "done"})
+        final = b'event: final\ndata: {"status":"done"}\n\n'
+        assert list(live) == [*expected, final]
+        assert broadcaster._history is None and 0 < len(broadcaster._packed) < sum(map(len, expected))
+        for _ in range(2):
+            assert list(broadcaster.subscribe()) == [*expected, final]
+        assert list(broadcaster.subscribe(replay=False)) == [final]
+
+    def test_subscribers_racing_the_history_packing_see_every_frame_once(self):
+        """Stress: subscriptions made while ``close`` packs the history read
+        either the deque or the packed blob, never neither or both."""
+        import sys
+
+        records = [{"round": index + 1} for index in range(30)]
+        expected = [sse_format("round", record, event_id=index + 1) for index, record in enumerate(records)]
+        final = sse_format("final", {"status": "done"})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                broadcaster = RoundBroadcaster()
+                for record in records:
+                    broadcaster.publish(record)
+                results: list[list[bytes]] = []
+                started = threading.Barrier(5, timeout=10.0)
+
+                def consume():
+                    started.wait()
+                    for _ in range(5):
+                        # A live subscriber may wait out a poll before close:
+                        # keep-alive comments carry no event, so they are skipped.
+                        frames = broadcaster.subscribe(poll_seconds=0.001)
+                        results.append([frame for frame in frames if frame != b": keep-alive\n\n"])
+
+                threads = [threading.Thread(target=consume) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                started.wait()
+                broadcaster.close({"status": "done"})
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [[*expected, final]] * 20
+        finally:
+            sys.setswitchinterval(interval)
+
 
 # ======================================================================
 # Rate limiting
@@ -677,6 +735,111 @@ class TestJobManager:
         assert per_job < entry_bytes / 4, f"{per_job:.0f} B retained per job, entry is {entry_bytes} B"
         assert all(job.result is None for job in warm + jobs)
 
+    def test_finished_computed_crash_job_retains_under_10_kB(self, tmp_path):
+        """A computed job keeps its round history as one packed blob of
+        frames, not as record dicts: each finished ``crash --quick`` job
+        retains under 10 kB (57 kB when the history was a deque of dicts).
+        The workers stop before each reading, so no job is still closing."""
+        import gc
+        import tracemalloc
+
+        def crash(seed: int) -> dict:
+            return {"kind": "scenario", "name": "crash", "quick": True, "seed": seed, "replicates": 4}
+
+        manager = JobManager(cache=RunCache(tmp_path / "cache"), jobs_dir=tmp_path / "jobs", workers=1)
+        drain(manager, *[manager.submit(crash(seed)) for seed in (100, 101)])
+        manager.stop()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            jobs = [manager.submit(crash(seed)) for seed in range(102, 110)]
+            drain(manager, *jobs)
+            manager.stop()
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [job.result_status for job in jobs] == ["computed"] * 8
+        assert all(job.broadcaster.events_published == 80 for job in jobs)
+        per_job = (after - before) / len(jobs)
+        assert per_job < 10 * 1024, f"{per_job:.0f} B retained per finished crash job"
+
+    def test_memory_of_finished_jobs_stops_growing_past_the_cap(self, tmp_path, monkeypatch):
+        """With at most 8 finished jobs in memory, 64 further computed jobs
+        add at most 0.2 kB each: the table keeps their ids, and reloads the
+        rest from disk. NumPy's and the io layer's own allocation caches
+        fill over the first few hundred kernel runs and pathlib interns each
+        path it parses; none of that is job state, so those sites (and
+        tracemalloc's own) are left out of the count."""
+        import gc
+        import tracemalloc
+
+        import repro.serve.jobs as jobs_module
+
+        monkeypatch.setattr(jobs_module, "FINISHED_IN_MEMORY", 8)
+        manager = JobManager(cache=RunCache(tmp_path / "cache"), jobs_dir=tmp_path / "jobs", workers=1)
+        seeds = iter(range(1000))
+
+        def run(count: int) -> None:
+            for _ in range(count):
+                drain(manager, manager.submit({**TINY, "seed": next(seeds)}, client="past-the-cap"))
+            manager.stop()  # every job has closed, persisted and retired
+            gc.collect()
+
+        tracemalloc.start()
+        try:
+            run(32)
+            before = tracemalloc.take_snapshot()
+            run(64)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        noise = [
+            tracemalloc.Filter(False, pattern)
+            for pattern in ("*/numpy/*", "<frozen os>", "*/pathlib.py", tracemalloc.__file__)
+        ]
+        stats = after.filter_traces(noise).compare_to(before.filter_traces(noise), "filename")
+        grown = sum(stat.size_diff for stat in stats)
+        assert grown / 64 <= 200, f"{grown / 64:.0f} B per finished job past the cap"
+        live = [item for item in gc.get_objects() if type(item) is Job and item.client == "past-the-cap"]
+        assert len(live) == 8  # the evicted Job objects are freed
+        assert len(manager.jobs()) == 96 and manager.health()["jobs"]["done"] == 96
+
+    def test_a_finished_job_leaves_memory_only_once_its_record_is_written(self, tmp_path, monkeypatch):
+        import repro.serve.jobs as jobs_module
+
+        monkeypatch.setattr(jobs_module, "FINISHED_IN_MEMORY", 1)
+        real_write = jobs_module.atomic_write_text
+
+        def failing_write(path, text):
+            record = json.loads(text)
+            if record["status"] == "done" and record["submission"]["seed"] == 0:
+                raise OSError("no space left on device")
+            real_write(path, text)
+
+        monkeypatch.setattr(jobs_module, "atomic_write_text", failing_write)
+        manager = JobManager(cache=RunCache(tmp_path / "cache"), jobs_dir=tmp_path / "jobs", workers=1)
+        unwritten = manager.submit(TINY)
+        drain(manager, unwritten)
+        later = [manager.submit({**TINY, "seed": seed}) for seed in (1, 2)]
+        drain(manager, *later)
+        manager.stop()
+        assert manager.get(unwritten.id) is unwritten  # its record on disk still says running
+        rebuilt = manager.get(later[0].id)
+        assert rebuilt is not later[0] and rebuilt.to_record() == later[0].to_record()
+        assert manager.get(later[1].id) is later[1]
+
+    def test_a_manager_without_a_jobs_dir_keeps_every_job(self, monkeypatch):
+        import repro.serve.jobs as jobs_module
+
+        monkeypatch.setattr(jobs_module, "FINISHED_IN_MEMORY", 1)
+        manager = JobManager(workers=1)
+        jobs = [manager.submit({**TINY, "seed": seed}) for seed in range(3)]
+        drain(manager, *jobs)
+        manager.stop()
+        assert [manager.get(job.id) for job in jobs] == jobs and manager.jobs() == jobs
+
     def test_hit_is_done_at_submission(self, tmp_path, monkeypatch):
         """A submission whose entry exists and parses is a finished hit before
         ``submit`` returns, with no worker running: one record write, the
@@ -908,6 +1071,39 @@ class TestJobManager:
         restored = reborn.get(job.id)
         assert restored.status == "failed"
         assert "restarted" in restored.error
+        # The corrected record is written back once: a second restart reads
+        # the same record, in memory and on disk.
+        path = tmp_path / "jobs" / f"{job.id}.json"
+        assert json.loads(path.read_text()) == restored.to_record()
+        again = JobManager(jobs_dir=tmp_path / "jobs", workers=1).get(job.id)
+        assert again.to_record() == restored.to_record() == json.loads(path.read_text())
+
+    def test_a_stalled_queued_write_never_lands_after_the_final_record(self, tmp_path, monkeypatch):
+        """``submit`` writes the queued record after releasing the lock, so a
+        worker can take the job first. However long that write stalls, the
+        file ends as the final record: a late ``queued`` record would make a
+        restart run the job again."""
+        import time
+
+        import repro.serve.jobs as jobs_module
+
+        real_write = jobs_module.atomic_write_text
+
+        def stalling_write(path, text):
+            if json.loads(text)["status"] == "queued":  # stall until the job is done, or 1 s
+                end = time.monotonic() + 1.0
+                while time.monotonic() < end and manager.jobs()[0].status != "done":
+                    time.sleep(0.01)
+            real_write(path, text)
+
+        monkeypatch.setattr(jobs_module, "atomic_write_text", stalling_write)
+        manager = JobManager(cache=RunCache(tmp_path / "cache"), jobs_dir=tmp_path / "jobs", workers=1)
+        manager.start()
+        job = manager.submit(TINY)
+        drain(manager, job)
+        manager.stop()
+        record = json.loads((tmp_path / "jobs" / f"{job.id}.json").read_text())
+        assert record["status"] == "done" and record == job.to_record()
 
     def test_two_contexts_at_once(self, tmp_path, monkeypatch):
         """Two managers with different run contexts share one process and
@@ -1020,6 +1216,12 @@ def wait_done(base: str, job_id: str, timeout: float = 60.0):
     raise TimeoutError(job_id)
 
 
+def final_frame(base: str, job_id: str) -> bytes:
+    """The ``final`` frame that ends a finished job's SSE stream."""
+    stream = http_bytes(base, f"/jobs/{job_id}/stream")[1]
+    return stream[stream.rindex(b"event: final"):]
+
+
 @pytest.mark.slow
 class TestHTTPDaemon:
     def test_healthz_and_openapi(self, daemon):
@@ -1076,6 +1278,69 @@ class TestHTTPDaemon:
             assert_gone(live, job["id"])
         with serving(state_manager(tmp_path)) as restarted:
             assert_gone(restarted, job["id"])
+
+    def test_evicted_jobs_answer_as_they_did_in_memory(self, tmp_path, monkeypatch):
+        """Past the cap, finished jobs leave memory and reload from their
+        records: a cancelled, a computed, a hit and a failed job answer
+        ``GET /jobs/<id>``, result, stream ``final`` and DELETE as they did
+        in memory, ``GET /jobs`` lists every job in submission order, and
+        ``/healthz`` counts equal a recount over that list."""
+        import collections
+        import time
+
+        import repro.serve.jobs as jobs_module
+
+        monkeypatch.setattr(jobs_module, "FINISHED_IN_MEMORY", 2)
+        real_run = jobs_module.run_submission
+
+        def fails_on_seed_77(submission, **kwargs):
+            if submission.seed == 77:
+                raise RuntimeError("seed 77 is cursed")
+            return real_run(submission, **kwargs)
+
+        monkeypatch.setattr(jobs_module, "run_submission", fails_on_seed_77)
+        manager = state_manager(tmp_path)
+        cancelled = manager.submit({**TINY, "seed": 50}).id
+        assert manager.cancel(cancelled)
+
+        def answers(base: str, job_id: str) -> dict:
+            def answer(path: str, method: str = "GET") -> tuple[int, bytes]:
+                try:
+                    return http_bytes(base, path, method=method)
+                except urllib.error.HTTPError as error:
+                    return error.code, error.read()
+
+            return {
+                "record": answer(f"/jobs/{job_id}"),
+                "result": answer(f"/jobs/{job_id}/result"),
+                "final": final_frame(base, job_id),
+                "delete": answer(f"/jobs/{job_id}", method="DELETE"),
+            }
+
+        with serving(manager) as base:
+            seen = {cancelled: answers(base, cancelled)}
+            for seed in (0, 0, 77):  # computed, hit, failed
+                _, job = http_json(base, "/jobs", method="POST", body={**TINY, "seed": seed})
+                wait_done(base, job["id"])
+                seen[job["id"]] = answers(base, job["id"])
+            for seed in (1, 2):  # two more finished jobs push the first four out
+                _, job = http_json(base, "/jobs", method="POST", body={**TINY, "seed": seed})
+                wait_done(base, job["id"])
+            end = time.monotonic() + 30.0
+            while any(manager._jobs[job_id] is not None for job_id in seen):
+                assert time.monotonic() < end, "finished jobs were never evicted"
+                time.sleep(0.01)
+            statuses = [json.loads(seen[job_id]["record"][1])["status"] for job_id in seen]
+            assert statuses == ["cancelled", "done", "done", "failed"]
+            assert [code for code, _ in (seen[job_id]["delete"] for job_id in seen)] == [200, 409, 409, 409]
+            for job_id, before in seen.items():
+                assert answers(base, job_id) == before, job_id
+            _, listing = http_json(base, "/jobs")
+            assert [record["id"] for record in listing] == [f"job-{index:06d}" for index in range(1, 7)]
+            assert all(http_json(base, f"/jobs/{record['id']}")[1] == record for record in listing)
+            counts = http_json(base, "/healthz")[1]["jobs"]
+            recount = collections.Counter(record["status"] for record in listing)
+            assert counts == {status: recount[status] for status in jobs_module.JOB_STATUSES}
 
     def test_request_latency_is_timed_per_route(self, tmp_path):
         """Each routed request records ``serve.http.request_seconds``,
@@ -1274,6 +1539,96 @@ class TestHTTPDaemon:
         assert wait_done(daemon, again["id"])["result_status"] == "hit"
         assert json.loads(captured.out)["records"]
 
+
+# ======================================================================
+# A daemon process killed mid-job
+# ======================================================================
+
+
+def poll(predicate, what: str, timeout: float = 60.0):
+    """Call ``predicate`` until it returns something truthy; bounded."""
+    import time
+
+    end = time.monotonic() + timeout
+    while True:
+        value = predicate()
+        if value:
+            return value
+        if time.monotonic() > end:
+            raise TimeoutError(what)
+        time.sleep(0.02)
+
+
+@contextlib.contextmanager
+def daemon_process(state_dir, log_path):
+    """``python -m repro serve --port 0 --state-dir state_dir`` as a child
+    process; yields ``(process, base URL)`` and always reaps the child."""
+    import os
+    import re
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": source + (os.pathsep + path if path else "")}
+    with open(log_path, "wb") as log:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "1", "--state-dir", str(state_dir)],
+            cwd=state_dir.parent,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=log,
+        )
+    try:
+        def port():
+            assert process.poll() is None, log_path.read_text()
+            match = re.search(r"listening on http://[^:]+:(\d+)", log_path.read_text())
+            return match and int(match.group(1))
+
+        yield process, f"http://127.0.0.1:{poll(port, 'the daemon never logged its port')}"
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.wait(timeout=30)
+
+
+class TestKilledDaemon:
+    def test_sigkill_mid_job_then_restart_on_the_same_state(self, tmp_path):
+        """SIGKILL a daemon while a long job runs, restart it on the same
+        ``--state-dir``: the killed job reads failed with the restart error,
+        the finished job's result bytes and final event are unchanged, and
+        the new daemon completes a new submission."""
+        import signal
+
+        from repro.serve.jobs import RESTART_ERROR
+
+        state = tmp_path / "state"
+        with daemon_process(state, tmp_path / "first.log") as (process, base):
+            _, done = http_json(base, "/jobs", method="POST", body=TINY)
+            assert wait_done(base, done["id"])["status"] == "done"
+            result = http_bytes(base, f"/jobs/{done['id']}/result")[1]
+            final = final_frame(base, done["id"])
+            _, long = http_json(base, "/jobs", method="POST", body={**TINY, "rounds": 1_000_000})
+            record_path = state / "jobs" / f"{long['id']}.json"
+
+            def running_on_disk():
+                try:
+                    return json.loads(record_path.read_text())["status"] == "running"
+                except (OSError, ValueError):
+                    return False
+
+            poll(running_on_disk, "the long job's record never said running")
+            process.send_signal(signal.SIGKILL)
+            process.wait(timeout=30)
+        with daemon_process(state, tmp_path / "second.log") as (_, base):
+            _, killed = http_json(base, f"/jobs/{long['id']}")
+            assert (killed["status"], killed["error"]) == ("failed", RESTART_ERROR)
+            assert json.loads(record_path.read_text()) == killed
+            assert http_bytes(base, f"/jobs/{done['id']}/result")[1] == result
+            assert final_frame(base, done["id"]) == final
+            _, fresh = http_json(base, "/jobs", method="POST", body={**TINY, "seed": 1})
+            assert wait_done(base, fresh["id"])["status"] == "done"
 
 
 # ======================================================================
