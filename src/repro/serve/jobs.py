@@ -196,7 +196,8 @@ class JobManager:
         Shared result tier. ``None`` disables caching *and* dedupe (every
         submission executes); the daemon always passes a cache.
     jobs_dir:
-        Directory for per-job JSON records; ``None`` disables persistence.
+        Directory for per-job JSON records; ``None`` disables persistence
+        and keeps every finished job in memory.
     workers:
         Worker **threads** draining the queue (not engine processes).
     queue_depth:
