@@ -1,6 +1,8 @@
 """Tests for the dynamics subsystem: events, churn, online tracking, scenarios."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,21 @@ from repro.engine import ExecutionEngine
 from repro.topology import Ring, Torus2D
 from repro.utils.serialization import to_jsonable
 from repro import cli
+
+BASELINES = Path(__file__).parent / "baselines"
+DYNAMICS_GOLDEN = json.loads((BASELINES / "dynamics_golden.json").read_text())
+
+
+def _load_golden_generator():
+    """The fixture's generator module: its case runners and digests are the spec."""
+    path = BASELINES / "regenerate_dynamics_golden.py"
+    spec = importlib.util.spec_from_file_location("regenerate_dynamics_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden_generator = _load_golden_generator()
 
 
 # ----------------------------------------------------------------------
@@ -523,6 +540,36 @@ class TestRoundStreamHook:
                 seed=0,
                 on_round=lambda record: None,
             )
+
+
+class TestDynamicsGolden:
+    """``dynamics_golden.json`` pins the bytes of every catalog scenario's
+    payload and streamed round frames, and of one 200-track batch, as the
+    tracker wrote them before its reductions were rewritten."""
+
+    def test_the_fixture_covers_every_catalog_scenario(self):
+        cases = DYNAMICS_GOLDEN["scenarios"]
+        assert [{key: case[key] for key in ("scenario", "seed", "replicates")} for case in cases] == (
+            golden_generator.scenario_specs()
+        )
+        assert {case["scenario"] for case in cases} == set(scenario_names())
+
+    @pytest.mark.parametrize(
+        "case",
+        DYNAMICS_GOLDEN["scenarios"],
+        ids=lambda case: f"{case['scenario']}-s{case['seed']}-r{case['replicates']}",
+    )
+    def test_scenario_payload_and_frames_reproduce(self, case):
+        assert golden_generator.run_scenario_case(case) == case["outcome"]
+
+    def test_wide_batch_reproduces(self):
+        batch = DYNAMICS_GOLDEN["batch"]
+        assert (batch["scenario"], batch["tracks"], batch["seed"]) == (
+            golden_generator.BATCH_SCENARIO,
+            golden_generator.BATCH_TRACKS,
+            golden_generator.BATCH_SEED,
+        )
+        assert golden_generator.run_batch_case() == batch["outcome"]
 
 
 class TestReplicateChunkingContract:
