@@ -34,7 +34,10 @@ results, pinned by the golden fixtures and the equivalence suite:
    fill elements sequentially in C order, so the chunked draw consumes the
    stream bit-identically to K per-round draws. Steps are applied through a
    precomputed ``(A, C)`` displacement table (one gather per round) when
-   the table fits the budget *and* its build cost amortises over the run.
+   the table fits the budget *and* its build cost amortises over the run,
+   counting each round's call overhead as well as its elements (see
+   :data:`_ROUND_CALL_ELEMENTS`); a re-arming on the same topology keeps
+   the table it has.
    Topologies whose per-round draw interleaves several generator calls
    (``TorusKD``) keep a per-round chunk fill — bit-identity is
    non-negotiable, not distributional. A window is stored in the
@@ -120,10 +123,18 @@ from repro.utils.rng import SeedLike, as_generator
 TABLE_BUDGET_ELEMENTS = 1 << 22
 
 #: A displacement table costs ~A·C element writes to build; it saves work
-#: proportional to rounds·R·n. Build only when the saving clearly covers
-#: the build (small serial runs on huge topologies must not pay for a
-#: table they barely use).
+#: proportional to rounds·(R·n + _ROUND_CALL_ELEMENTS). Build only when the
+#: saving clearly covers the build (small serial runs on huge topologies
+#: must not pay for a table they barely use).
 TABLE_AMORTISATION_FACTOR = 4
+
+#: A round without the table steps through ``apply_steps``, about ten NumPy
+#: calls on a lattice against the gather's three, so each round saves a
+#: fixed overhead on top of its per-element work. This is that overhead in
+#: stepped elements: about 9 µs a round against about 15 ns an element on
+#: the 2-vCPU Xeon it was measured on. It is what builds the table for
+#: small batches, such as a serial 104-agent run on Torus2D(32).
+_ROUND_CALL_ELEMENTS = 600
 
 #: Upper bound on the elements of one chunked draw buffer: the shared
 #: stream's whole-batch ``(K, R, n)`` window, or one tile's
@@ -222,6 +233,7 @@ class _ArmedLoop:
         config: SimulationConfig,
         rounds_left: int,
         batch_rows: Optional[int] = None,
+        previous: Optional["_ArmedLoop"] = None,
     ):
         self.topology = topology
         self.shape = shape
@@ -259,9 +271,17 @@ class _ArmedLoop:
 
         self.choices = topology.num_step_choices if self.steps_precomputable else None
         self.table: Optional[np.ndarray] = None
-        if self.steps_precomputable and self.choices is not None:
+        if (
+            previous is not None
+            and previous.topology is topology
+            and previous.num_nodes == self.num_nodes
+            and previous.table is not None
+        ):
+            # A re-arming on the same topology keeps the table it built.
+            self.table = previous.table
+        elif self.steps_precomputable and self.choices is not None:
             build_cost = self.num_nodes * self.choices
-            saving = rounds_left * max(self.batch_rows * agents, 1)
+            saving = rounds_left * (self.batch_rows * agents + _ROUND_CALL_ELEMENTS)
             if build_cost * TABLE_AMORTISATION_FACTOR <= saving:
                 self.table = build_step_table(topology)
 
@@ -814,7 +834,11 @@ def _run_loop(
                         # apply_round_hook has already validated the new
                         # positions against the new topology.
                         armed = _ArmedLoop(
-                            state.topology, positions.shape, config, rounds - round_index - 1
+                            state.topology,
+                            positions.shape,
+                            config,
+                            rounds - round_index - 1,
+                            previous=armed,
                         )
                         if report:
                             tel.counter("fastpath.rearms")

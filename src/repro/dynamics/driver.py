@@ -83,6 +83,35 @@ CHUNK_REPLICATES = 4
 RoundListener = Callable[[dict], None]
 
 
+def _track_means(rows: np.ndarray) -> list:
+    """Means over the last axis, as plain floats, in one reduction.
+
+    Each mean sums its tracks in the order ``ndarray.mean`` would (NumPy
+    reduces along a contiguous last axis one row at a time) and divides
+    by the track count, so it matches ``float(row.mean())`` bit for bit.
+    """
+    return (np.add.reduce(rows, axis=-1) / rows.shape[-1]).tolist()
+
+
+def _round_record(t: int, population: int, num_nodes: int, means: list) -> dict:
+    """Round ``t``'s record: the simulated environment and its six track
+    means (running, window, discounted, ci_low, ci_high, change_fraction)."""
+    population, num_nodes = int(population), int(num_nodes)
+    running, window, discounted, ci_low, ci_high, change_fraction = means
+    return {
+        "round": t + 1,
+        "population": population,
+        "num_nodes": num_nodes,
+        "true_density": (population - 1.0) / num_nodes,
+        "running": running,
+        "window": window,
+        "discounted": discounted,
+        "ci_low": ci_low,
+        "ci_high": ci_high,
+        "change_fraction": change_fraction,
+    }
+
+
 class _DynamicsTracker:
     """The per-round hook: noise windows, online estimators, event application."""
 
@@ -116,6 +145,9 @@ class _DynamicsTracker:
         #: of the per-round hot path.
         self.window_mass = np.zeros((rounds, tracks), dtype=np.float64)
         self.change_flags = np.zeros((rounds, tracks), dtype=bool)
+        #: The streamed record's six per-track rows (see ``_round_record``),
+        #: reduced in one call.
+        self._stream_rows = np.zeros((6, tracks), dtype=np.float64)
         #: Active sensor-degradation windows as ``(model, end_round)`` pairs;
         #: a window scheduled at round r degrades rounds ``r+1 .. r+duration``.
         self._noise_windows: list[tuple[NoisyCollisionModel, int]] = []
@@ -171,24 +203,16 @@ class _DynamicsTracker:
             # matching :meth:`ScenarioRunResult.records` (which reports the
             # population the round was simulated with). Pure observation:
             # plain floats out, nothing mutated, no randomness consumed.
-            ci_low, ci_high = chernoff_interval(
+            rows = self._stream_rows
+            rows[0] = self.estimates["running"][t]
+            rows[1] = self.estimates["window"][t]
+            rows[2] = self.estimates["discounted"][t]
+            rows[3], rows[4] = chernoff_interval(
                 self.estimates["window"][t], self.window_mass[t], self.params.delta
             )
+            rows[5] = self.change_flags[t]
             self._on_round(
-                {
-                    "round": t + 1,
-                    "population": int(self.population[t]),
-                    "num_nodes": int(self.num_nodes[t]),
-                    "true_density": float(
-                        (self.population[t] - 1.0) / self.num_nodes[t]
-                    ),
-                    "running": float(self.estimates["running"][t].mean()),
-                    "window": float(self.estimates["window"][t].mean()),
-                    "discounted": float(self.estimates["discounted"][t].mean()),
-                    "ci_low": float(np.atleast_1d(ci_low).mean()),
-                    "ci_high": float(np.atleast_1d(ci_high).mean()),
-                    "change_fraction": float(self.change_flags[t].mean()),
-                }
+                _round_record(t, state.num_agents, state.topology.num_nodes, _track_means(rows))
             )
 
         for event in self.scenario.events.at(t):
@@ -264,24 +288,24 @@ class ScenarioRunResult:
 
     def records(self) -> list[dict[str, Any]]:
         """One JSON-friendly record per round (replicate-averaged estimates)."""
-        density = self.true_density
-        out: list[dict[str, Any]] = []
-        for t in range(self.rounds):
-            out.append(
-                {
-                    "round": t + 1,
-                    "population": int(self.population[t]),
-                    "num_nodes": int(self.num_nodes[t]),
-                    "true_density": float(density[t]),
-                    "running": float(self.estimates["running"][t].mean()),
-                    "window": float(self.estimates["window"][t].mean()),
-                    "discounted": float(self.estimates["discounted"][t].mean()),
-                    "ci_low": float(self.ci_low[t].mean()),
-                    "ci_high": float(self.ci_high[t].mean()),
-                    "change_fraction": float(self.change_flags[t].mean()),
-                }
+        rows = np.stack(
+            [
+                self.estimates["running"],
+                self.estimates["window"],
+                self.estimates["discounted"],
+                self.ci_low,
+                self.ci_high,
+                self.change_flags,
+            ],
+            axis=1,
+            dtype=np.float64,
+        )
+        return [
+            _round_record(t, population, num_nodes, means)
+            for t, (population, num_nodes, means) in enumerate(
+                zip(self.population.tolist(), self.num_nodes.tolist(), _track_means(rows))
             )
-        return out
+        ]
 
     def summary(self) -> dict[str, Any]:
         """Run-level synopsis: final estimates, errors, detections."""

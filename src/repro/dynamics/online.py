@@ -93,8 +93,17 @@ class TrackingParameters:
             ) from None
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _as_columns(values: np.ndarray | float) -> np.ndarray:
-    """Coerce a per-round statistic to a float64 vector of track columns."""
+    """Coerce a per-round statistic to a float64 vector of track columns.
+
+    A float64 vector, which is what the tracking driver passes every round,
+    is returned as it is.
+    """
+    if type(values) is np.ndarray and values.dtype is _FLOAT64 and values.ndim == 1:
+        return values
     return np.atleast_1d(np.asarray(values, dtype=np.float64))
 
 
@@ -143,7 +152,9 @@ class SlidingWindowEstimator:
 
     def update(self, values: np.ndarray | float, mass: np.ndarray | float = 0.0) -> None:
         values = _as_columns(values)
-        mass = np.broadcast_to(_as_columns(mass), values.shape)
+        mass = _as_columns(mass)
+        if mass.shape != values.shape:
+            mass = np.broadcast_to(mass, values.shape)
         at_capacity = self._count >= self.window
         self._sum += values - np.where(at_capacity, self._values[self._cursor], 0.0)
         self._mass += mass - np.where(at_capacity, self._masses[self._cursor], 0.0)
@@ -264,6 +275,11 @@ class TwoWindowChangeDetector:
         self._buffer = np.zeros((2 * window, tracks), dtype=np.float64)
         self._count = np.zeros(tracks, dtype=np.int64)
         self._cursor = 0
+        #: Ring slots newest first, twice round: with ``start = -cursor %
+        #: (2 * window)``, ``_ring[start:start + window]`` is the recent
+        #: window (slots ``cursor-1, cursor-2, ...``) and the next ``window``
+        #: entries the reference window, so no round computes an index.
+        self._ring = (-1 - np.arange(4 * window)) % (2 * window)
 
     def update(self, values: np.ndarray | float) -> np.ndarray:
         """Feed one round's values; return the boolean change flags per track."""
@@ -277,8 +293,8 @@ class TwoWindowChangeDetector:
         # The most recent `window` slots of the ring: cursor-1, cursor-2, ...
         # The reference window is everything else, recovered from the total
         # so only one gather over the ring is needed.
-        recent_index = (self._cursor - 1 - np.arange(self.window)) % (2 * self.window)
-        recent_rows = self._buffer[recent_index]
+        start = -self._cursor % (2 * self.window)
+        recent_rows = self._buffer[self._ring[start : start + self.window]]
         recent_sum = recent_rows.sum(axis=0)
         recent = recent_sum / self.window
         reference = (self._buffer.sum(axis=0) - recent_sum) / self.window
@@ -292,10 +308,7 @@ class TwoWindowChangeDetector:
             return material
         # Welch z-score of the two window means; the variance floor keeps a
         # perfectly constant stream (variance 0) from dividing by zero.
-        reference_index = (self._cursor - 1 - np.arange(self.window, 2 * self.window)) % (
-            2 * self.window
-        )
-        reference_rows = self._buffer[reference_index]
+        reference_rows = self._buffer[self._ring[start + self.window : start + 2 * self.window]]
         recent_var = np.maximum(recent_rows.var(axis=0), 0.0)
         reference_var = np.maximum(reference_rows.var(axis=0), 0.0)
         # Encounter-rate streams are positively autocorrelated (walkers that

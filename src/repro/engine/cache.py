@@ -160,10 +160,14 @@ class RunCache:
 
     def store(self, key: str, payload: Mapping[str, Any]) -> Path:
         """Atomically write ``payload`` under ``key``; returns the entry path."""
+        return self._write(key, to_jsonable(payload))
+
+    def _write(self, key: str, plain: dict[str, Any]) -> Path:
+        """:meth:`store` of a payload that is already plain JSON (no conversion)."""
         path = self.path_for(key)
         tel = get_telemetry()
         start = time.perf_counter() if tel.enabled else 0.0
-        document = json.dumps(to_jsonable(payload), indent=2, sort_keys=False)
+        document = json.dumps(plain, indent=2, sort_keys=False)
         atomic_write_text(path, document)
         if tel.enabled:
             tel.counter("cache.stores")
@@ -217,11 +221,11 @@ class RunCache:
                 if payload is not None:
                     status = "hit"
                 else:
-                    # to_jsonable here (store() repeats it idempotently) so
-                    # leader and waiters share one plain-JSON payload — the
-                    # exact document any later load() would return.
+                    # Converted once, here, so leader and waiters share one
+                    # plain-JSON payload — the exact document any later
+                    # load() would return — and it is written as it is.
                     payload = to_jsonable(dict(compute()))
-                    self.store(key, payload)
+                    self._write(key, payload)
                     status = "computed"
                 flight.payload = payload
                 return payload, status

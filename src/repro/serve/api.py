@@ -199,7 +199,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         self._send_json(scenario_listing())
 
     def _route_jobs_get(self) -> None:
-        self._send_json([job.to_record() for job in self.manager.jobs()])
+        self._send_json(self.manager.jobs())
 
     def _route_jobs_post(self) -> None:
         payload = self._read_body()

@@ -43,11 +43,12 @@ store, a recompute otherwise).
 
 Memory stays bounded however long the daemon runs. With a ``jobs_dir``, at
 most :data:`FINISHED_IN_MEMORY` finished jobs stay in memory; an older one
-leaves the table once its final record is on disk, and ``get``, ``jobs``,
-results, streams and cancels rebuild it from that record on demand, the
-way a restart does. Its stream then replays no rounds, only the final
-event. A job that keeps its payload (a manager without a cache) never
-leaves, and neither does any job of a manager without a ``jobs_dir``.
+leaves the table once its final record is on disk, and ``get``, results,
+streams and cancels rebuild it from that record on demand, the way a
+restart does. Its stream then replays no rounds, only the final event.
+The ``jobs`` listing reads the record as it is, without rebuilding. A job
+that keeps its payload (a manager without a cache) never leaves, and
+neither does any job of a manager without a ``jobs_dir``.
 ``health()`` reads per-status counts kept up to date on every status
 change, so it costs the same however many jobs the daemon has seen.
 """
@@ -313,12 +314,20 @@ class JobManager:
             raise UnknownJobError(job_id)
         return job
 
-    def jobs(self) -> list[Job]:
-        """Every job in submission order (finished ones rebuilt from disk if evicted)."""
+    def jobs(self) -> list[dict[str, Any]]:
+        """Every job's record, in submission order (the ``GET /jobs`` listing).
+
+        An evicted job is listed by the record stored for it, read as it is:
+        nothing is rebuilt or validated, so a listing costs one file read per
+        evicted job.
+        """
         with self._lock:
             entries = list(self._jobs.items())
-        jobs = [job if job is not None else self._load(job_id) for job_id, job in entries]
-        return [job for job in jobs if job is not None]
+        records = [
+            job.to_record() if job is not None else self._stored_record(job_id)
+            for job_id, job in entries
+        ]
+        return [record for record in records if record is not None]
 
     def result(self, job_id: str) -> dict[str, Any]:
         """The payload of a done job, parsed from its cache entry's bytes."""
@@ -551,12 +560,20 @@ class JobManager:
             while len(self._resident) > FINISHED_IN_MEMORY:
                 self._jobs[self._resident.popleft()] = None
 
-    def _load(self, job_id: str) -> Job | None:
-        """An evicted job, rebuilt from its record (``None`` if that is gone)."""
+    def _stored_record(self, job_id: str) -> dict[str, Any] | None:
+        """An evicted job's record as stored (``None`` if it is gone or unreadable)."""
         try:
             with open(self.jobs_dir / f"{job_id}.json", "r", encoding="utf-8") as handle:
-                return self._job_from_record(json.load(handle))
-        except (OSError, KeyError, ValueError):
+                return json.load(handle)
+        except (OSError, ValueError):
+            return None
+
+    def _load(self, job_id: str) -> Job | None:
+        """An evicted job, rebuilt from its record (``None`` if that is gone)."""
+        record = self._stored_record(job_id)
+        try:
+            return None if record is None else self._job_from_record(record)
+        except (KeyError, ValueError):
             return None
 
     def _job_from_record(self, record: Mapping[str, Any]) -> Job:

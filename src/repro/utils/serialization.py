@@ -14,18 +14,36 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+#: Types returned as they are. Exact types only: ``np.float64`` subclasses
+#: ``float`` but is converted, and ``IntEnum`` or ``str`` subclasses take
+#: the general checks below.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
 
 def to_jsonable(value: Any) -> Any:
     """Recursively convert ``value`` into JSON-serialisable Python objects.
 
     Handles dataclasses, NumPy scalars and arrays, mappings, and sequences.
+    Plain values and exact ``dict``/``list``/``tuple`` containers, which
+    make up most of a payload, skip the general checks; the result is the
+    same either way.
     """
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is dict:
+        return {
+            (k if type(k) is str else str(k)): (v if type(v) in _PLAIN else to_jsonable(v))
+            for k, v in value.items()
+        }
+    if kind is list or kind is tuple:
+        return [v if type(v) in _PLAIN else to_jsonable(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {field.name: to_jsonable(getattr(value, field.name)) for field in dataclasses.fields(value)}
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
-        return [to_jsonable(v) for v in value.tolist()]
+        return [v if type(v) in _PLAIN else to_jsonable(v) for v in value.tolist()]
     if isinstance(value, Mapping):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -562,6 +562,18 @@ class TestDynamicsGolden:
     def test_scenario_payload_and_frames_reproduce(self, case):
         assert golden_generator.run_scenario_case(case) == case["outcome"]
 
+    @pytest.mark.parametrize("tracks", [1, 3, 8, 9, 127, 128, 129, 200, 1000, 9000])
+    def test_track_means_equal_each_row_mean(self, tracks):
+        """The record's one reduction sums each row as ``ndarray.mean`` does,
+        on both sides of NumPy's pairwise blocks (8 and 128 elements) and of
+        its 8,192-element buffer, for a round's rows and a run's rows."""
+        from repro.dynamics.driver import _track_means
+
+        rows = np.random.default_rng(tracks).lognormal(size=(3, 6, tracks)) * 1e3
+        rows[:, 5] = rows[:, 5] > 1e3  # the change-flag row: 0/1 as floats
+        assert _track_means(rows[0]) == [float(row.mean()) for row in rows[0]]
+        assert _track_means(rows) == [[float(row.mean()) for row in block] for block in rows]
+
     def test_wide_batch_reproduces(self):
         batch = DYNAMICS_GOLDEN["batch"]
         assert (batch["scenario"], batch["tracks"], batch["seed"]) == (

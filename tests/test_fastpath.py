@@ -47,6 +47,7 @@ from repro.core.kernel import (
     use_run_context,
 )
 from repro.core.simulation import SimulationConfig
+from repro.obs.telemetry import TelemetryRecorder, use_telemetry
 from repro.swarm.noise import NoisyCollisionModel
 from repro.topology.bounded_grid import BoundedGrid
 from repro.topology.complete import CompleteGraph
@@ -408,6 +409,49 @@ class TestTableBudget:
     def test_budget_refuses_oversized_tables(self, monkeypatch):
         monkeypatch.setattr(fastpath, "TABLE_BUDGET_ELEMENTS", 10)
         assert build_step_table(Torus2D(8)) is None
+
+    @staticmethod
+    def armings(run) -> list[dict]:
+        recorder = TelemetryRecorder(level="events")
+        with use_telemetry(recorder):
+            run()
+        return [event for event in recorder.events() if event["event"] == "fastpath.armed"]
+
+    def test_small_serial_runs_build_the_table(self):
+        """E01 quick: three (1, 104) Torus2D(32) calls of 25, 50 and 100 rounds,
+        where a round's call overhead outweighs its 104 elements."""
+        from repro.experiments import run_experiment
+
+        armed = self.armings(lambda: run_experiment("E01", quick=True))
+        shapes = [(event["rows"], event["agents"], event["num_nodes"]) for event in armed]
+        assert shapes == [(1, 104, 1024)] * 3
+        assert [event["displacement_table"] for event in armed] == [True] * 3
+
+    def test_a_rearm_on_the_same_topology_keeps_the_table(self, monkeypatch):
+        """crash --quick re-arms at mid-run with 4 x 24 agents on 256 nodes and
+        40 rounds left; it keeps the table its first arming built."""
+        from repro.dynamics import build_scenario, track_scenario_batch
+
+        builds = []
+        real_build = fastpath.build_step_table
+        monkeypatch.setattr(
+            fastpath, "build_step_table", lambda topology: builds.append(topology) or real_build(topology)
+        )
+        armed = self.armings(lambda: track_scenario_batch(build_scenario("crash", quick=True), 4, 0))
+        assert [(event["reason"], event["rows"], event["agents"]) for event in armed] == [
+            ("initial", 4, 60),
+            ("round_hook", 4, 24),
+        ]
+        assert [event["displacement_table"] for event in armed] == [True, True]
+        assert len(builds) == 1
+
+    def test_a_near_budget_topology_run_for_a_few_rounds_skips_the_table(self):
+        topology = Torus2D(1024)
+        assert topology.num_nodes * topology.num_step_choices == fastpath.TABLE_BUDGET_ELEMENTS
+        armed = self.armings(
+            lambda: run_kernel(topology, SimulationConfig(num_agents=64, rounds=5), 4, 0)
+        )
+        assert [event["displacement_table"] for event in armed] == [False]
 
     def test_no_capability_no_table(self):
         import networkx as nx

@@ -838,7 +838,35 @@ class TestJobManager:
         jobs = [manager.submit({**TINY, "seed": seed}) for seed in range(3)]
         drain(manager, *jobs)
         manager.stop()
-        assert [manager.get(job.id) for job in jobs] == jobs and manager.jobs() == jobs
+        assert [manager.get(job.id) for job in jobs] == jobs
+        assert manager.jobs() == [job.to_record() for job in jobs]
+
+    def test_listing_reads_evicted_records_without_rebuilding_jobs(self, tmp_path, monkeypatch):
+        """``jobs()`` (``GET /jobs``) lists an evicted job by its stored record:
+        the listing equals the records the jobs had in memory, and no
+        submission is parsed or validated to build it."""
+        import repro.serve.jobs as jobs_module
+
+        monkeypatch.setattr(jobs_module, "FINISHED_IN_MEMORY", 2)
+        manager = JobManager(cache=RunCache(tmp_path / "cache"), jobs_dir=tmp_path / "jobs", workers=1)
+        jobs = [manager.submit({**TINY, "seed": seed}) for seed in (0, 1, 0, 2, 3)]
+        drain(manager, *jobs)
+        manager.stop()
+        assert [job.result_status for job in jobs] == ["computed", "computed", "hit", "computed", "computed"]
+        evicted = [job.id for job in jobs if manager._jobs[job.id] is None]
+        assert len(evicted) == 3
+        parsed = []
+        real_from_payload = Submission.from_payload.__func__
+
+        def counting_from_payload(cls, payload):
+            parsed.append(payload)
+            return real_from_payload(cls, payload)
+
+        monkeypatch.setattr(Submission, "from_payload", classmethod(counting_from_payload))
+        assert manager.jobs() == [job.to_record() for job in jobs]
+        assert parsed == []
+        assert manager.get(evicted[0]).to_record() == jobs[0].to_record()
+        assert len(parsed) == 1  # a single job is still rebuilt on demand
 
     def test_hit_is_done_at_submission(self, tmp_path, monkeypatch):
         """A submission whose entry exists and parses is a finished hit before
@@ -1092,7 +1120,7 @@ class TestJobManager:
         def stalling_write(path, text):
             if json.loads(text)["status"] == "queued":  # stall until the job is done, or 1 s
                 end = time.monotonic() + 1.0
-                while time.monotonic() < end and manager.jobs()[0].status != "done":
+                while time.monotonic() < end and manager.jobs()[0]["status"] != "done":
                     time.sleep(0.01)
             real_write(path, text)
 
