@@ -58,9 +58,23 @@ def chernoff_interval(
         Elementwise lower and upper confidence bounds.
     """
     require_probability(delta, "delta", allow_zero=False, allow_one=False)
-    estimates = np.asarray(estimates, dtype=np.float64)
-    mass = np.maximum(np.asarray(collision_mass, dtype=np.float64), 1.0)
-    epsilon = np.sqrt(3.0 * math.log(2.0 / delta) / mass)
+    return _chernoff_band(
+        np.asarray(estimates, dtype=np.float64),
+        np.asarray(collision_mass, dtype=np.float64),
+        3.0 * math.log(2.0 / delta),
+    )
+
+
+def _chernoff_band(
+    estimates: np.ndarray, collision_mass: np.ndarray, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`chernoff_interval` of float64 arrays, given ``scale = 3·log(2/δ)``.
+
+    For a caller that bands many rounds at one validated ``δ`` (the
+    streaming tracker): the same float operations in the same order, so the
+    band is bit-identical to :func:`chernoff_interval`'s.
+    """
+    epsilon = np.sqrt(scale / np.maximum(collision_mass, 1.0))
     lower = np.maximum(estimates * (1.0 - epsilon), 0.0)
     upper = estimates * (1.0 + epsilon)
     return lower, upper

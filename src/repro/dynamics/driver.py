@@ -32,12 +32,13 @@ Three entry points cover the execution spectrum:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.analysis.concentration import chernoff_interval
+from repro.analysis.concentration import _chernoff_band, chernoff_interval
 from repro.core.kernel import run_kernel
 from repro.core.simulation import RoundState, SimulationConfig
 from repro.dynamics.events import (
@@ -122,6 +123,9 @@ class _DynamicsTracker:
         self.scenario = scenario
         self.tracks = tracks
         self.params = TrackingParameters.resolve(scenario.tracking)
+        #: ``3·log(2/δ)`` of the streamed confidence band, computed once:
+        #: ``params`` validated ``δ`` when it was built.
+        self._chernoff_scale = 3.0 * math.log(2.0 / self.params.delta)
         rounds = scenario.rounds
         self.running = RunningEstimator(tracks)
         self.window = SlidingWindowEstimator(self.params.window, tracks)
@@ -207,8 +211,8 @@ class _DynamicsTracker:
             rows[0] = self.estimates["running"][t]
             rows[1] = self.estimates["window"][t]
             rows[2] = self.estimates["discounted"][t]
-            rows[3], rows[4] = chernoff_interval(
-                self.estimates["window"][t], self.window_mass[t], self.params.delta
+            rows[3], rows[4] = _chernoff_band(
+                self.estimates["window"][t], self.window_mass[t], self._chernoff_scale
             )
             rows[5] = self.change_flags[t]
             self._on_round(

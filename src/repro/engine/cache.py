@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from pathlib import Path
@@ -25,6 +26,10 @@ from typing import Any, Callable, Iterator, Mapping
 from repro.obs.telemetry import get_telemetry
 from repro.utils.atomic import atomic_write_text
 from repro.utils.serialization import to_jsonable
+
+#: Entries whose successful parse :meth:`RunCache.peek` remembers; past this
+#: many keys the oldest is forgotten first.
+_PEEK_STAMPS = 256
 
 
 def cache_key(**components: Any) -> str:
@@ -63,19 +68,20 @@ class RunCache:
     """
 
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self._flights: dict[str, _Flight] = {}
-        self._flights_lock = threading.Lock()
+        self.__setstate__({"directory": Path(directory)})
 
     def __getstate__(self) -> dict[str, Any]:
-        # Locks and in-flight state are process-local; a pickled copy
-        # (e.g. shipped to a worker) starts with a fresh flight table.
+        # Locks, in-flight state and peek stamps are process-local; a pickled
+        # copy (e.g. shipped to a worker) starts with fresh, empty tables.
         return {"directory": self.directory}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.directory = state["directory"]
-        self._flights = {}
+        self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
+        # key -> (st_ino, st_size, st_mtime_ns) of the entry peek last parsed.
+        self._stamps: dict[str, tuple[int, int, int]] = {}
+        self._stamps_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Key handling
@@ -147,15 +153,48 @@ class RunCache:
         Unlike :meth:`load`, a missing or corrupt entry counts nothing and
         stays where it is, so the caller's later :meth:`load` (or
         :meth:`get_or_compute`) records the one miss and recovers it.
+
+        An entry is parsed once per change (``cache.peek_parses`` counts the
+        parses). A successful parse records the entry's inode, size and
+        mtime, taken from the descriptor it was read through; while
+        ``os.stat`` reports the same three, the entry is a hit without being
+        read again. A replace, truncation or rewrite changes them, and the
+        entry is read and parsed afresh. (Only a rewrite in place that keeps
+        the size and lands within one tick of the filesystem's clock would
+        go unseen; the cache itself only ever replaces entries whole.)
         """
-        data = self.read_bytes(key)
-        if data is None:
+        path = self.path_for(key)
+        tel = get_telemetry()
+        with self._stamps_lock:
+            stamp = self._stamps.get(key)
+        if stamp is not None:
+            try:
+                stat = os.stat(path)
+            except OSError:
+                stat = None
+            if stat is not None and (stat.st_ino, stat.st_size, stat.st_mtime_ns) == stamp:
+                tel.counter("cache.hits")
+                return stat.st_size
+        try:
+            with open(path, "rb") as handle:
+                stat = os.fstat(handle.fileno())
+                data = handle.read()
+        except FileNotFoundError:
             return None
+        except OSError:
+            tel.counter("cache.read_errors")
+            return None
+        tel.counter("cache.peek_parses")
         try:
             json.loads(data.decode("utf-8"))
         except ValueError:
             return None
-        get_telemetry().counter("cache.hits")
+        with self._stamps_lock:
+            self._stamps.pop(key, None)
+            self._stamps[key] = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+            if len(self._stamps) > _PEEK_STAMPS:
+                del self._stamps[next(iter(self._stamps))]
+        tel.counter("cache.hits")
         return len(data)
 
     def store(self, key: str, payload: Mapping[str, Any]) -> Path:

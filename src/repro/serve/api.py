@@ -7,16 +7,20 @@ actually serve (and vice versa). Workload-level surface (which experiments,
 which scenarios, which config fields) comes from the registries via
 :mod:`repro.serve.schema`, not from this table.
 
-The server is a :class:`http.server.ThreadingHTTPServer`: one thread per
-connection, which SSE needs (a streaming response parks its thread for the
-job's lifetime) and the stdlib gives us without any new dependency. Job
-execution happens on the :class:`~repro.serve.jobs.JobManager` worker pool,
-never on connection threads.
+The server is a :class:`http.server.ThreadingHTTPServer` whose connection
+threads are reused: each accepted connection goes to an idle connection
+thread, and a new thread starts only when none is idle. So an SSE stream,
+which parks its thread for the job's lifetime, never blocks another
+request, while a run of short requests is served by the same few threads
+instead of starting one per connection. Job execution happens on the
+:class:`~repro.serve.jobs.JobManager` worker pool, never on connection
+threads.
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -54,6 +58,10 @@ ROUTES: dict[str, dict[str, str]] = {
 
 #: Cap on accepted request bodies (a sweep spec fits comfortably).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Idle connection threads kept for reuse: a thread that finishes a
+#: connection while this many are idle exits instead of waiting.
+_IDLE_CONNECTION_THREADS = 8
 
 
 def _handler_name(method: str, route_path: str) -> str:
@@ -245,14 +253,69 @@ class ServeHandler(BaseHTTPRequestHandler):
 
 
 class ReproServer(ThreadingHTTPServer):
-    """The daemon: a threading HTTP server bound to one :class:`JobManager`."""
+    """The daemon: a threading HTTP server bound to one :class:`JobManager`.
 
-    daemon_threads = True
+    Connection threads are reused (see the module docstring). Each accepted
+    connection goes through a queue to an idle thread, which runs it as
+    :class:`~socketserver.ThreadingMixIn` would (``finish_request``, then
+    ``handle_error`` on an exception, then ``shutdown_request``) and then
+    waits for the next one. ``server_close()`` ends the idle threads; a busy
+    one exits when its connection ends. The ``serve.http.connections`` and
+    ``serve.http.connection_threads`` counters show the reuse.
+    """
+
     allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], manager: JobManager):
+        # Set before binding: a failed bind calls server_close().
+        self._pool_lock = threading.Lock()
+        #: Idle connection threads with the queue each waits on, latest last.
+        self._idle: list[tuple[threading.Thread, queue.SimpleQueue]] = []
+        self._closed = False
         super().__init__(address, ServeHandler)
         self.manager = manager
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        """Hand the connection to an idle thread, or start one if none is idle."""
+        tel = get_telemetry()
+        tel.counter("serve.http.connections")
+        with self._pool_lock:
+            idle = self._idle.pop() if self._idle else None
+        if idle is not None:
+            idle[1].put((request, client_address))
+            return
+        tel.counter("serve.http.connection_threads")
+        threading.Thread(
+            target=self._connection_thread,
+            args=(request, client_address),
+            name="repro-serve-connection",
+            daemon=True,
+        ).start()
+
+    def _connection_thread(self, request: Any, client_address: Any) -> None:
+        """Serve connections until enough threads are idle or the server closes."""
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        while True:
+            self.process_request_thread(request, client_address)
+            with self._pool_lock:
+                if self._closed or len(self._idle) >= _IDLE_CONNECTION_THREADS:
+                    return
+                self._idle.append((threading.current_thread(), inbox))
+            connection = inbox.get()
+            if connection is None:  # woken by server_close()
+                return
+            request, client_address = connection
+
+    def server_close(self) -> None:
+        """Close the listening socket, then end and join the idle threads."""
+        super().server_close()
+        with self._pool_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for _, inbox in idle:
+            inbox.put(None)
+        for thread, _ in idle:
+            thread.join()
 
 
 def serve_forever(

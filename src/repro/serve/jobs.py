@@ -84,6 +84,14 @@ FINISHED_IN_MEMORY = 256
 RESTART_ERROR = "daemon restarted while the job was running"
 
 
+def _record_order(path: Path) -> tuple[int, int, str]:
+    """Restore order of a job record file: by the counter of its ``job-%06d``
+    id, so ``job-1000000`` follows ``job-999999``; names whose counter does
+    not parse come after those, in name order."""
+    number = path.stem[len("job-"):]
+    return (0, int(number), path.name) if number.isdecimal() else (1, 0, path.name)
+
+
 class QueueFullError(RuntimeError):
     """The bounded job queue is at capacity (HTTP 503)."""
 
@@ -602,7 +610,7 @@ class JobManager:
         if not self.jobs_dir.is_dir():
             return
         restored = 0
-        for path in sorted(self.jobs_dir.glob("job-*.json")):
+        for path in sorted(self.jobs_dir.glob("job-*.json"), key=_record_order):
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     record = json.load(handle)

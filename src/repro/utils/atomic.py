@@ -1,35 +1,86 @@
 """Atomic file publication: write a temp file, then ``os.replace`` it.
 
-The one copy of the idiom the run cache and the result store both build on:
-a reader never observes a half-written file (it sees the old content or the
-new content, nothing in between), and a killed writer leaves at most a
-``*.tmp`` file that is cleaned up, never a torn destination.
+The one copy of the idiom the run cache, the result store and the serve
+daemon's job records build on. A reader never observes a half-written file:
+it sees the old content or the new content, nothing in between.
+
+What is and is not covered:
+
+* An exception anywhere in a write unlinks the temp file and leaves the
+  destination as it was.
+* A killed writer leaves the destination as it was, plus one orphan temp
+  file, ``<dest>.<pid>-<thread id>.tmp``, next to it. Nothing removes that
+  orphan yet; the pid in its name tells it apart from a live writer's.
+  A later write to the same destination by a process that reuses the pid
+  (and thread id) removes it.
+* Power loss is not covered: nothing calls ``fsync``, so after a crash of
+  the machine the destination may be empty or old.
+
+The temp file is created with mode ``0o600`` (before the umask), the mode
+:func:`tempfile.mkstemp` gives, so published files keep the mode they had.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import tempfile
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
 
+#: ``os.open`` flags of a temp file: a new regular file, never a symlink's
+#: target, not inherited by child processes.
+_TEMP_FLAGS = (
+    os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_CLOEXEC", 0)
+)
+
+
+def _open_temp(path: Path) -> tuple[int, str]:
+    """Create ``path``'s temp file; returns ``(descriptor, temp name)``.
+
+    The name carries the writer's pid and thread id, so no two live writers
+    share one. The parent directory is created only when the open finds it
+    missing. A file already under the name was left by a dead writer (one
+    thread runs one write at a time); it is unlinked and the open retried
+    once.
+    """
+    temp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        return os.open(temp, _TEMP_FLAGS, 0o600), temp
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        os.unlink(temp)
+    return os.open(temp, _TEMP_FLAGS, 0o600), temp
+
+
+def _discard(temp: str) -> None:
+    try:
+        os.unlink(temp)
+    except OSError:
+        pass
+
 
 def atomic_write_text(path: str | Path, text: str, *, encoding: str = "utf-8") -> None:
-    """Atomically publish ``text`` at ``path`` (parent created if needed)."""
+    """Atomically publish ``text`` at ``path`` (parent created if needed).
+
+    The text is encoded before anything touches the disk, then written with
+    one ``os.open``, ``os.write`` and ``os.replace``: no buffered file object.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    data = memoryview(text.encode(encoding))
+    fd, temp = _open_temp(path)
     try:
-        with os.fdopen(fd, "w", encoding=encoding) as handle:
-            handle.write(text)
-        os.replace(temp_name, path)
-    except BaseException:
         try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(temp, path)
+    except BaseException:
+        _discard(temp)
         raise
 
 
@@ -44,17 +95,13 @@ def atomic_text_writer(path: str | Path, *, encoding: str = "utf-8") -> Iterator
     the destination untouched.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    fd, temp = _open_temp(path)
     try:
         with os.fdopen(fd, "w", encoding=encoding) as handle:
             yield handle
-        os.replace(temp_name, path)
+        os.replace(temp, path)
     except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
+        _discard(temp)
         raise
 
 
@@ -64,19 +111,14 @@ def atomic_copy_file(src: str | Path, dst: str | Path) -> None:
     The copy streams through a bounded buffer (``shutil.copyfileobj``), so
     arbitrarily large part files never pass through memory whole.
     """
-    src = Path(src)
     dst = Path(dst)
-    dst.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=dst.parent, suffix=".tmp")
+    fd, temp = _open_temp(dst)
     try:
         with os.fdopen(fd, "wb") as out_handle, open(src, "rb") as in_handle:
             shutil.copyfileobj(in_handle, out_handle)
-        os.replace(temp_name, dst)
+        os.replace(temp, dst)
     except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
+        _discard(temp)
         raise
 
 

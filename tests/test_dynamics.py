@@ -530,6 +530,26 @@ class TestRoundStreamHook:
         for record in seen:
             assert set(record) == record_keys | {"chunk", "chunks", "chunk_replicates"}
 
+    def test_streamed_rounds_reuse_the_validated_delta(self, monkeypatch):
+        """``δ`` is validated when the parameters are built; each streamed
+        round bands from the tracker's precomputed ``3·log(2/δ)``, and only
+        the whole-run band after the run goes through ``chernoff_interval``."""
+        import repro.analysis.concentration as concentration
+
+        checks = []
+        real_check = concentration.require_probability
+        monkeypatch.setattr(
+            concentration,
+            "require_probability",
+            lambda value, name, **kwargs: (checks.append(name), real_check(value, name, **kwargs))[1],
+        )
+        scenario = build_scenario("crash", quick=True)
+        seen: list[dict] = []
+        outcome = track_scenario_batch(scenario, 2, seed=0, on_round=seen.append)
+        assert len(seen) == scenario.rounds
+        assert checks == ["delta"]
+        assert json.dumps(seen) == json.dumps(outcome.records())
+
     def test_run_scenario_rejects_listener_with_multiprocess_engine(self):
         scenario = build_scenario("crash", quick=True)
         with pytest.raises(ValueError, match="in-process engine"):

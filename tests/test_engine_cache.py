@@ -1,6 +1,7 @@
 """Tests for the content-addressed run cache (repro.engine.cache) and its CLI wiring."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -140,6 +141,104 @@ class TestRunCache:
         assert clone._flights_lock is not cache._flights_lock
         assert clone.load(key) == {"ok": True}
         assert clone.get_or_compute(cache.key(k=7), lambda: {"n": 7}) == ({"n": 7}, "computed")
+
+
+def aged_entry(tmp_path) -> tuple[RunCache, str]:
+    """A cache with one entry whose mtime is a minute old, so a rewrite now
+    moves it even where the filesystem's clock ticks coarsely."""
+    cache = RunCache(tmp_path)
+    key = cache.key(k=8)
+    path = cache.store(key, {"records": [{"round": 1, "estimate": 0.25}], "summary": {}})
+    stat = path.stat()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 60 * 10**9))
+    return cache, key
+
+
+def peek_counters(cache: RunCache, key: str, times: int) -> tuple[list, dict]:
+    """``times`` peeks of ``key``: their answers and the counters they moved."""
+    recorder = TelemetryRecorder(level="summary")
+    with use_telemetry(recorder):
+        answers = [cache.peek(key) for _ in range(times)]
+    return answers, recorder.summary()["counters"]
+
+
+class TestPeek:
+    """``peek`` parses an entry once per change of its inode, size or mtime."""
+
+    def test_repeated_peeks_parse_the_entry_once(self, tmp_path):
+        cache, key = aged_entry(tmp_path)
+        size = cache.path_for(key).stat().st_size
+        answers, counters = peek_counters(cache, key, 5)
+        assert answers == [size] * 5
+        assert counters == {"cache.hits": 5, "cache.peek_parses": 1}
+
+    @pytest.mark.parametrize("change", ["replaced", "truncated", "rewritten at the same size"])
+    def test_a_changed_entry_is_parsed_again(self, tmp_path, change):
+        """Each change moves one field of the stamp (the others are put back
+        as they were): a corrupt result then shows the entry was parsed."""
+        cache, key = aged_entry(tmp_path)
+        path = cache.path_for(key)
+        assert peek_counters(cache, key, 1)[0] == [path.stat().st_size]
+        before = path.stat()
+        corrupt = b"[" * before.st_size
+        if change == "replaced":
+            other = tmp_path / "other"
+            other.write_bytes(corrupt)
+            os.replace(other, path)
+        elif change == "truncated":
+            os.truncate(path, before.st_size // 2)
+        else:
+            with open(path, "r+b") as handle:
+                handle.write(corrupt)
+        if change != "rewritten at the same size":
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        moved = [
+            name
+            for name in ("st_ino", "st_size", "st_mtime_ns")
+            if getattr(after, name) != getattr(before, name)
+        ]
+        assert moved == [{"replaced": "st_ino", "truncated": "st_size"}.get(change, "st_mtime_ns")]
+        answers, counters = peek_counters(cache, key, 2)
+        assert answers == [None, None]
+        assert counters == {"cache.peek_parses": 2}
+        assert path.exists()  # a peek leaves a corrupt entry for load() to recover
+        cache.store(key, {"records": [], "summary": {}})
+        answers, counters = peek_counters(cache, key, 2)
+        assert answers == [path.stat().st_size] * 2
+        assert counters == {"cache.hits": 2, "cache.peek_parses": 1}
+
+    def test_a_missing_or_unreadable_entry_is_never_stamped(self, tmp_path):
+        cache, key = aged_entry(tmp_path)
+        assert peek_counters(cache, key, 1)[0] == [cache.path_for(key).stat().st_size]
+        cache.path_for(key).unlink()
+        assert peek_counters(cache, key, 2) == ([None, None], {})
+        cache.path_for(key).mkdir()
+        assert peek_counters(cache, key, 1) == ([None], {"cache.read_errors": 1})
+
+    def test_stamps_are_bounded_oldest_first_and_not_pickled(self, tmp_path, monkeypatch):
+        import pickle
+
+        import repro.engine.cache as cache_module
+
+        monkeypatch.setattr(cache_module, "_PEEK_STAMPS", 2)
+        cache = RunCache(tmp_path)
+        keys = [cache.key(k=index) for index in range(3)]
+        for key in keys:
+            cache.store(key, {"k": key})
+            cache.peek(key)
+        assert list(cache._stamps) == keys[1:]
+        assert peek_counters(cache, keys[0], 1)[1]["cache.peek_parses"] == 1
+        assert list(cache._stamps) == [keys[2], keys[0]]
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone._stamps == {} and clone._stamps_lock is not cache._stamps_lock
+
+    def test_store_does_not_stamp(self, tmp_path):
+        cache = RunCache(tmp_path)
+        key = cache.key(k=9)
+        cache.get_or_compute(key, lambda: {"n": 9})
+        cache.store(cache.key(k=10), {"n": 10})
+        assert cache._stamps == {}
 
 
 class TestGetOrCompute:

@@ -894,6 +894,7 @@ class TestJobManager:
         summary = recorder.summary()
         assert summary["counters"] == {
             "cache.hits": 1,
+            "cache.peek_parses": 1,
             "serve.jobs.completed": 1,
             "serve.jobs.hit": 1,
             "serve.jobs.submitted": 1,
@@ -1171,6 +1172,54 @@ class TestJobManager:
             assert dumps(manager.result(jobs[name].id)) == expected[name]
         assert expected["analytic"] != expected["default"]
 
+    def test_restore_orders_records_by_id_past_a_million(self, tmp_path):
+        """``job-1000000.json`` sorts before ``job-100001.json`` by name; a
+        restarted daemon lists, queues and numbers jobs by id regardless."""
+        jobs_dir = tmp_path / "jobs"
+        jobs_dir.mkdir()
+        counters = [99_999, 100_000, 100_001, 999_999, 1_000_000, 1_000_001, 1_000_010]
+        queued = {100_001, 1_000_000}
+        records = [
+            {"id": f"job-{counter:06d}", "status": "queued" if counter in queued else "cancelled"}
+            for counter in counters
+        ] + [{"id": "job-legacy", "status": "cancelled"}]
+        for record in reversed(records):
+            full = {**record, "submission": tiny_submission().to_dict(), "created": 0.0}
+            (jobs_dir / f"{record['id']}.json").write_text(json.dumps(full), encoding="utf-8")
+        names = sorted(path.name for path in jobs_dir.iterdir())
+        assert names.index("job-1000000.json") < names.index("job-100001.json")
+        manager = JobManager(cache=RunCache(tmp_path / "cache"), jobs_dir=jobs_dir, workers=1)
+        assert [record["id"] for record in manager.jobs()] == [record["id"] for record in records]
+        assert manager._queue == ["job-100001", "job-1000000"]
+        assert manager.submit({**TINY, "seed": 9}).id == "job-1000011"
+
+    def test_an_entry_corrupted_after_a_hit_is_parsed_again_and_queues(self, tmp_path):
+        """The second hit answers from the entry's stamp; a rewrite in place
+        of the same size moves its mtime, so the next submission parses it,
+        finds it corrupt and queues, and the worker recomputes it."""
+        import os
+
+        cache = RunCache(tmp_path / "cache")
+        key, _ = stored_entry(cache)
+        path = cache.path_for(key)
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 60 * 10**9))
+        manager = JobManager(cache=cache, workers=1)  # not started until the last job
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder):
+            assert [manager.submit(TINY).status for _ in range(2)] == ["done", "done"]
+        assert recorder.summary()["counters"]["cache.peek_parses"] == 1
+        with open(path, "r+b") as handle:
+            handle.write(b"[" * stat.st_size)
+        job = manager.submit(TINY)
+        assert job.status == "queued"
+        drain(manager, job)
+        manager.stop()
+        assert job.result_status == "computed"
+        expected = dumps(run_submission(tiny_submission())[0]).encode("utf-8")
+        assert manager.result_bytes(job.id) == path.read_bytes() == expected
+        assert manager.submit(TINY).status == "done"
+
     def test_health_reports_worker_liveness(self):
         manager = JobManager(workers=2)
         assert manager.health()["status"] == "degraded"  # not started yet
@@ -1192,8 +1241,9 @@ def state_manager(tmp_path) -> JobManager:
 
 
 @contextlib.contextmanager
-def serving(manager: JobManager):
-    """Serve ``manager`` on a loopback port; yields the base URL."""
+def served(manager: JobManager):
+    """Serve ``manager`` on a loopback port; yields ``(server, base URL)``.
+    On exit the server shuts down and ``server_close()`` has returned."""
     server = ReproServer(("127.0.0.1", 0), manager)
     thread = threading.Thread(
         target=serve_forever,
@@ -1203,10 +1253,17 @@ def serving(manager: JobManager):
     )
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
+        yield server, f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
         thread.join(timeout=10)
+
+
+@contextlib.contextmanager
+def serving(manager: JobManager):
+    """Serve ``manager`` on a loopback port; yields the base URL."""
+    with served(manager) as (_, base):
+        yield base
 
 
 @pytest.fixture()
@@ -1571,6 +1628,104 @@ class TestHTTPDaemon:
 # ======================================================================
 # A daemon process killed mid-job
 # ======================================================================
+
+
+def connection_threads() -> set:
+    return {thread for thread in threading.enumerate() if thread.name == "repro-serve-connection"}
+
+
+class TestConnectionThreads:
+    """``ReproServer`` reuses connection threads: counted, never timed."""
+
+    def test_sequential_requests_reuse_one_connection_thread(self, tmp_path):
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder), served(state_manager(tmp_path)) as (server, base):
+            for _ in range(20):
+                assert http_json(base, "/healthz")[0] == 200
+                # The thread is idle again once it has shut the connection down.
+                poll(lambda: server._idle, "an idle connection thread")
+        counters = recorder.summary()["counters"]
+        assert counters["serve.http.connections"] == 20
+        assert counters["serve.http.connection_threads"] == 1
+
+    def test_streams_holding_every_thread_never_block_a_request(self, tmp_path, monkeypatch):
+        """Three SSE streams of queued jobs park three connection threads
+        for as long as their jobs wait; a POST still gets its own thread."""
+        import repro.serve.jobs as jobs_module
+
+        release = threading.Event()
+        real_run = jobs_module.run_submission
+
+        def held(submission, **kwargs):
+            release.wait(timeout=60.0)
+            return real_run(submission, **kwargs)
+
+        monkeypatch.setattr(jobs_module, "run_submission", held)
+        manager = JobManager(cache=RunCache(tmp_path / "cache"), jobs_dir=tmp_path / "jobs", workers=1)
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder), served(manager) as (server, base):
+            ids = [
+                http_json(base, "/jobs", method="POST", body={**TINY, "seed": seed})[1]["id"]
+                for seed in (60, 61, 62, 63)
+            ]
+            streams = []
+            try:
+                for job_id in ids[1:]:  # the first job runs (held); these three stay queued
+                    streams.append(urllib.request.urlopen(f"{base}/jobs/{job_id}/stream", timeout=30))
+                status, record = http_json(base, "/jobs", method="POST", body={**TINY, "seed": 64})
+                assert status == 202 and record["status"] == "queued"
+                assert recorder.summary()["counters"]["serve.http.connection_threads"] >= 4
+            finally:
+                release.set()
+                bodies = [stream.read() for stream in streams]
+                for stream in streams:
+                    stream.close()
+            for job_id, body in zip(ids[1:], bodies):
+                lines = body[body.rindex(b"event: final"):].decode("utf-8").split("\n")
+                final = json.loads("\n".join(line[6:] for line in lines if line.startswith("data: ")))
+                assert (final["job"], final["status"]) == (job_id, "done")
+            wait_done(base, record["id"])
+
+    def test_concurrent_clients_get_every_answer(self, tmp_path):
+        """Eight clients race sixty-four requests through the handoff with a
+        short switch interval: a lost or doubled handoff would leave a
+        request unanswered or counted twice."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        recorder = TelemetryRecorder(level="summary")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with use_telemetry(recorder), served(state_manager(tmp_path)) as (server, base):
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    statuses = list(pool.map(lambda _: http_json(base, "/healthz")[0], range(64), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert statuses == [200] * 64
+        counters = recorder.summary()["counters"]
+        assert counters["serve.http.connections"] == counters["serve.http.requests"] == 64
+
+    def test_server_close_ends_every_connection_thread(self, tmp_path):
+        import socket
+
+        before = connection_threads()
+        recorder = TelemetryRecorder(level="summary")
+        with use_telemetry(recorder), served(state_manager(tmp_path)) as (server, base):
+            port = server.server_address[1]
+            # Three connections open at once: each is accepted while the
+            # others' threads wait for a request line, so each gets a thread.
+            sockets = [socket.create_connection(("127.0.0.1", port), timeout=30) for _ in range(3)]
+            poll(lambda: len(connection_threads() - before) == 3, "three connection threads")
+            for sock in sockets:
+                with sock:
+                    sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+                    assert sock.makefile("rb").readline().startswith(b"HTTP/1.1 200")
+            poll(lambda: len(server._idle) == 3, "three idle connection threads")
+        assert connection_threads() - before == set()
+        assert server._idle == []
+        counters = recorder.summary()["counters"]
+        assert counters["serve.http.connections"] == counters["serve.http.connection_threads"] == 3
 
 
 def poll(predicate, what: str, timeout: float = 60.0):

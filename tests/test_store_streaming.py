@@ -320,6 +320,74 @@ class TestAtomicWriteAndCopy:
         assert target.read_text(encoding="utf-8") == "old\n"
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_publishes_through_a_temp_named_for_the_writer(self, tmp_path, monkeypatch):
+        import os
+        import threading
+
+        import repro.utils.atomic as atomic_module
+
+        replaced = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            replaced.append((src, os.path.exists(src)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(atomic_module.os, "replace", spy)
+        target = tmp_path / "new" / "dir" / "record.json"
+        atomic_write_text(target, '{"caf\u00e9": 1}\n')
+        monkeypatch.undo()
+        assert target.read_bytes() == '{"caf\u00e9": 1}\n'.encode("utf-8")
+        assert replaced == [(f"{target}.{os.getpid()}-{threading.get_ident()}.tmp", True)]
+        assert list(target.parent.iterdir()) == [target]
+
+    def test_keeps_the_mode_mkstemp_gives(self, tmp_path):
+        import os
+        import stat
+        import tempfile
+
+        fd, reference = tempfile.mkstemp(dir=tmp_path)
+        os.close(fd)
+        target = tmp_path / "file.txt"
+        atomic_write_text(target, "x")
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(os.stat(reference).st_mode)
+
+    def test_failed_write_leaves_no_temp(self, tmp_path, monkeypatch):
+        import errno
+        import os
+
+        import repro.utils.atomic as atomic_module
+
+        target = tmp_path / "file.txt"
+        target.write_text("old\n", encoding="utf-8")
+        calls = []
+        real_write = os.write
+
+        def short_then_full_disk(fd, data):
+            calls.append(len(data))
+            if len(calls) == 1:
+                return real_write(fd, bytes(data[:3]))  # a short write is resumed
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(atomic_module.os, "write", short_then_full_disk)
+        with pytest.raises(OSError, match="no space"):
+            atomic_write_text(target, "new content\n")
+        monkeypatch.undo()
+        assert calls == [12, 9]
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_a_dead_writers_temp_under_the_same_name_is_replaced(self, tmp_path):
+        import os
+        import threading
+
+        target = tmp_path / "file.txt"
+        orphan = tmp_path / f"file.txt.{os.getpid()}-{threading.get_ident()}.tmp"
+        orphan.write_text("left by a killed writer", encoding="utf-8")
+        atomic_write_text(target, "fresh\n")
+        assert target.read_text(encoding="utf-8") == "fresh\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_copy_streams_exact_bytes_into_new_directories(self, tmp_path):
         source = tmp_path / "part.ndjson"
         payload = bytes(range(256)) * 1024  # larger than one copy buffer
